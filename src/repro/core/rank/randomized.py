@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 
+from ...persistence.codec import StateCodecError
 from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
 from ...runtime.rng import coin, derive_rng
 from ...sketch.mergeable_quantile import QuantileSketchBuilder
@@ -78,38 +79,106 @@ class RoundGeometry:
 
 
 class _ChunkTree:
-    """Site-side state of algorithm C for one chunk: one active builder
-    per level, flushed bottom-up as nodes fill."""
+    """Site-side state of algorithm C for one chunk.
+
+    Every tree node summarises the same arrival *sequence* restricted to
+    its span, so the sequence is held once: arrivals land in one shared
+    ``intake`` list, and a level's builder is handed its backlog (the
+    intake's tail it has not seen) only at a count where it is *due* —
+    its buffer fills or its node completes.  Builders are delivery-
+    independent (see :class:`QuantileSketchBuilder`), so each ends up in
+    the state one ``add`` per element per level would have left it in.
+
+    What that per-element loop also fixed is the order of draws on the
+    site's single RNG: at an element where several levels fill a buffer,
+    level 0 drew its merge coins first, then level 1, and so on, all
+    after that element's residual-sample coin.  :meth:`flush` therefore
+    visits the due levels bottom-up at exactly that element, and between
+    due counts no level draws at all — the draw sequence is unchanged.
+
+    Between calls every builder's own partial buffer is empty; the open
+    buffers of all levels are suffixes of ``intake``, which is cleared
+    when every level is due at once and so stays shorter than the
+    largest buffer size.  Snapshots keep the per-level layout: each
+    builder is encoded holding its backlog (``_persist_state_``) and a
+    decoded tree folds the partials back into one intake
+    (``_persist_restored_``).
+    """
 
     def __init__(self, geometry: RoundGeometry, rng):
         self.geometry = geometry
         self.rng = rng
         self.count = 0
-        self.builders = []
-        self.indices = []
         levels = 1 if geometry.flat else geometry.height + 1
-        for level in range(levels):
-            self.builders.append(self._fresh_builder(level))
-            self.indices.append(0)
+        self.builders = [
+            QuantileSketchBuilder.for_error(
+                geometry.node_elements(level), geometry.node_error, rng
+            )
+            for level in range(levels)
+        ]
+        self.indices = [0] * levels
+        self.intake = []
+        self._derive()
 
-    def _fresh_builder(self, level: int) -> QuantileSketchBuilder:
-        g = self.geometry
-        return QuantileSketchBuilder.for_error(
-            g.node_elements(level), g.node_error, self.rng
-        )
+    def _derive(self) -> None:
+        """Per-level node size and stride — a level is due at multiples
+        of its stride, where a buffer fills or the node completes — and
+        the stride every due count shares (callers test it per element).
+        Being handed a backlog early is harmless, so a gcd is enough
+        should a buffer size ever not divide its node."""
+        self.nodes = [
+            self.geometry.node_elements(level)
+            for level in range(len(self.builders))
+        ]
+        self.strides = [
+            math.gcd(node, builder.m) if builder.m < node else node
+            for node, builder in zip(self.nodes, self.builders)
+        ]
+        self.stride = math.gcd(*self.strides)
 
-    def add(self, value):
-        """Feed one element to all active nodes; yield full-node summaries
-        as (level, index, summary) tuples."""
-        g = self.geometry
+    def add(self, value) -> list:
+        """Take one element; return the nodes it completed."""
+        self.intake.append(value)
         self.count += 1
+        return [] if self.count % self.stride else self.flush()
+
+    def _backlog(self, level: int) -> int:
+        """Arrivals of the level's open node its builder has not seen."""
+        in_node = self.count - self.indices[level] * self.nodes[level]
+        return in_node - self.builders[level].n
+
+    def flush(self) -> list:
+        """Hand every due level its backlog, bottom-up; return completed
+        nodes as (level, index, summary) tuples."""
+        count = self.count
+        intake = self.intake
+        builders = self.builders
+        indices = self.indices
+        nodes = self.nodes
         out = []
-        for level, builder in enumerate(self.builders):
-            builder.add(value)
-            if builder.n >= g.node_elements(level):
-                out.append((level, self.indices[level], builder.finalize()))
-                self.indices[level] += 1
-                self.builders[level] = self._fresh_builder(level)
+        drained = True
+        run = ()  # the last full buffer, sorted once for equal-m levels
+        for level, stride in enumerate(self.strides):
+            if count % stride:
+                drained = False
+                continue
+            builder = builders[level]
+            m = builder.m
+            node = nodes[level]
+            in_node = count - indices[level] * node
+            backlog = in_node - builder.n
+            if backlog == m:
+                if len(run) != m:
+                    run = sorted(intake[-m:])
+                builder.add_buffer(run)
+            else:
+                builder.extend(intake[len(intake) - backlog :])
+            if in_node == node:
+                out.append((level, indices[level], builder.finalize()))
+                indices[level] += 1
+                builders[level] = QuantileSketchBuilder(m, self.rng)
+        if drained:
+            intake.clear()
         return out
 
     @property
@@ -117,7 +186,38 @@ class _ChunkTree:
         return self.count >= self.geometry.chunk
 
     def space_words(self) -> int:
-        return sum(b.space_words() for b in self.builders) + 4
+        held = sum(b.space_words() for b in self.builders)
+        return held + len(self.intake) + 4
+
+    # -- snapshot layout (codec hooks) -------------------------------------
+
+    def _persist_state_(self) -> dict:
+        intake = self.intake
+        return {
+            "geometry": self.geometry,
+            "rng": self.rng,
+            "count": self.count,
+            "builders": [
+                builder.holding(intake[len(intake) - self._backlog(level) :])
+                for level, builder in enumerate(self.builders)
+            ],
+            "indices": self.indices,
+        }
+
+    def _persist_restored_(self) -> None:
+        self._derive()
+        partials = [builder.release() for builder in self.builders]
+        self.intake = max(partials, key=len)
+        for level, partial in enumerate(partials):
+            tail = self.intake[len(self.intake) - len(partial) :]
+            if len(partial) != self._backlog(level) or partial != tail:
+                raise StateCodecError(
+                    f"rank chunk-tree snapshot: level {level}'s open buffer "
+                    f"{partial!r} is not the tail of the chunk's arrivals "
+                    f"(count {self.count}, longest open buffer "
+                    f"{self.intake!r}); the per-level layout requires every "
+                    "level to have seen the same sequence"
+                )
 
 
 class RandomizedRankSite(Site):
@@ -148,7 +248,14 @@ class RandomizedRankSite(Site):
         if coin(self.rng, self.geometry.p):
             self.send(MSG_RSAMPLE, item, words=1)
 
-        for level, index, summary in self.tree.add(item):
+        completed = self.tree.add(item)
+        if completed:
+            self._ship(completed)
+
+    def _ship(self, completed) -> None:
+        """Send the summaries of the nodes one element completed; the top
+        node completes exactly when the chunk is full."""
+        for level, index, summary in completed:
             self.send(
                 MSG_SUMMARY,
                 (self.chunk_index, level, index, summary),
@@ -157,6 +264,63 @@ class RandomizedRankSite(Site):
         if self.tree.full:
             self.chunk_index += 1
             self.tree = _ChunkTree(self.geometry, self.rng)
+
+    def _loop_state(self):
+        """What on_elements holds in locals and a re-entrant on_message
+        can replace."""
+        tree = self.tree
+        return tree, tree.intake.append, tree.count, tree.stride, self.geometry.p
+
+    def on_elements(self, items) -> None:
+        # Inlined on_element: same state transitions, same draws on the
+        # site RNG in the same order (coin() skips the draw at p >= 1,
+        # mirrored here), through the same tree.  A send can re-enter
+        # on_message — a MSG_DOUBLE may start a round, replacing geometry
+        # and tree — so the counters held in locals are written back
+        # before every send and all locals re-read after it.
+        if self.tree is None:
+            # No round yet: the first element's doubling report brings
+            # the geometry (or on_element raises).
+            if not len(items):
+                return
+            self.on_element(items[0])
+            items = items[1:]
+        doubler = self.doubler
+        dn = doubler.n
+        report_at = 2 * doubler.last_report
+        draw = self.rng.random
+        # _loop_state(), spelled out: runs of one element are the common
+        # case on uniform arrivals, where a call per run is a measurable
+        # share of the work.
+        tree = self.tree
+        take = tree.intake.append
+        count = tree.count
+        stride = tree.stride
+        p = self.geometry.p
+        for item in items:
+            dn += 1
+            if dn >= report_at:
+                report_at = 2 * dn
+                doubler.n = doubler.last_report = dn
+                tree.count = count
+                self.send(MSG_DOUBLE, dn)
+                tree, take, count, stride, p = self._loop_state()
+            if p >= 1.0 or draw() < p:
+                doubler.n = dn
+                tree.count = count
+                self.send(MSG_RSAMPLE, item, words=1)
+                tree, take, count, stride, p = self._loop_state()
+            take(item)
+            count += 1
+            if not count % stride:
+                tree.count = count
+                completed = tree.flush()
+                if completed:
+                    doubler.n = dn
+                    self._ship(completed)
+                    tree, take, count, stride, p = self._loop_state()
+        doubler.n = dn
+        tree.count = count
 
     def on_message(self, message: Message) -> None:
         if message.kind != MSG_ROUND:

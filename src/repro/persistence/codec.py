@@ -23,6 +23,11 @@ that is rebuilt by constructors — network references, bound sites —
 stays intact and is never serialized.  Classes opt attributes out of
 snapshots with a ``_persist_transient_`` tuple (e.g. ``Site`` excludes
 ``network``); everything else in ``__dict__``/``__slots__`` is state.
+A class whose working representation differs from its encoded layout
+defines ``_persist_state_()`` (the ``{name: value}`` mapping to encode in
+place of its attributes) and ``_persist_restored_()`` (called once the
+decoded attributes are set, to rebuild the working representation or
+refuse the snapshot with :class:`StateCodecError`).
 
 Only classes defined under the ``repro`` package are encoded; anything
 else is a bug in the caller and raises immediately rather than producing
@@ -83,8 +88,13 @@ def _state_attrs(obj) -> list:
     """(name, value) pairs of an object's persistent attributes.
 
     Covers ``__dict__`` (in insertion order, which is deterministic per
-    class) and any ``__slots__`` along the MRO, minus transient names.
+    class) and any ``__slots__`` along the MRO, minus transient names —
+    unless the class names its own encoded layout with
+    ``_persist_state_()``.
     """
+    custom = getattr(obj, "_persist_state_", None)
+    if custom is not None:
+        return list(custom().items())
     transient = _transient_names(type(obj))
     out = []
     seen = set()
@@ -265,6 +275,9 @@ class StateDecoder:
             for name, enc_value in encoded["state"].items():
                 current = getattr(obj, name, None)
                 setattr(obj, name, self.merge(current, enc_value))
+            restored = getattr(obj, "_persist_restored_", None)
+            if restored is not None:
+                restored()
             return obj
         raise StateCodecError(f"unknown snapshot tag in {sorted(encoded)!r}")
 

@@ -38,11 +38,17 @@ class Site(PersistableState, ABC):
     def on_elements(self, items) -> None:
         """Process a contiguous run of local elements (batched fast path).
 
-        ``items`` is a sized sequence delivered in arrival order.  The
-        default is a tight loop over :meth:`on_element`; subclasses may
-        override with a faster implementation, but it MUST be *exactly*
-        equivalent — same messages, same RNG consumption — so batched and
-        per-event driving produce identical transcripts from the same seed.
+        ``items`` is a sized, indexable sequence (list or numpy array)
+        delivered in arrival order.  The default is a tight loop over
+        :meth:`on_element`; subclasses may override with a faster
+        implementation, but it MUST be *exactly* equivalent — same
+        messages, same RNG consumption in the same order — so batched and
+        per-event driving produce identical transcripts from the same
+        seed.  The count, frequency and randomized rank sites all
+        override it with an inlined ``on_element``; their shared rule is
+        that any ``send`` may re-enter :meth:`on_message` (a doubling
+        report can start a round), so state held in locals is written
+        back before every send and re-read after it.
         """
         on_element = self.on_element
         for item in items:

@@ -11,9 +11,11 @@ same seed.
 
 Amortization over the per-event loop comes from three places: the run
 decomposition is shared across all jobs, each run costs one Python call
-into the site handler instead of one per event (count schemes additionally
-override :meth:`Site.on_elements` with transcript-identical closed forms),
-and space sampling happens per run / per interval instead of per event.
+into the site handler instead of one per event (the count, frequency and
+randomized rank sites additionally override :meth:`Site.on_elements` with
+transcript-identical inlined loops — closed forms for deterministic
+count, one shared intake per chunk tree for rank), and space sampling
+happens per run / per interval instead of per event.
 """
 
 from __future__ import annotations

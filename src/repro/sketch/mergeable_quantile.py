@@ -16,6 +16,7 @@ rank queries.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 import random
 
@@ -64,30 +65,22 @@ class QuantileSummary(PersistableState):
         return len(self.values)
 
 
-def _random_halve(merged, rng: random.Random):
-    """Keep odd- or even-indexed elements of a sorted list, at random."""
-    offset = 1 if rng.random() < 0.5 else 0
-    return merged[offset::2]
-
-
-def _merge_sorted(a, b):
-    """Merge two sorted lists."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] <= b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
-
-
 class QuantileSketchBuilder(PersistableState):
     """Streaming builder for :class:`QuantileSummary`.
+
+    Arrivals collect in a partial buffer; every ``m``-th one turns it
+    into a sorted weight-1 buffer, and two buffers of equal weight merge
+    into one of twice the weight (see :meth:`add_buffer`) — a binary
+    counter of buffers, one ``rng`` draw per carry.
+
+    The state after a sequence of arrivals depends only on that sequence,
+    not on how it was delivered: :meth:`extend` with any split of the
+    sequence, and :meth:`add_buffer` for a stretch of exactly ``m``, leave
+    the same buffers, the same partial and the same ``rng`` position as
+    one :meth:`add` per element.  Callers that feed several builders the
+    same sequence (the rank tracker's chunk tree) rely on this to hold
+    arrivals once and hand each builder its backlog only when a buffer
+    is due.
 
     Parameters
     ----------
@@ -141,39 +134,80 @@ class QuantileSketchBuilder(PersistableState):
 
     def add(self, value) -> None:
         """Insert one element."""
-        self.n += 1
-        self._partial.append(value)
-        if len(self._partial) >= self.m:
-            self._partial.sort()
-            self._push(0, self._partial)
-            self._partial = []
+        self.extend((value,))
 
-    def _push(self, level: int, buf) -> None:
-        """Add a sorted buffer at ``level``, carrying merges upward."""
+    def extend(self, values) -> None:
+        """Insert a run of elements, in order: each joins the partial
+        buffer, and every ``m``-th one turns it into a sorted buffer."""
+        m = self.m
+        partial = self._partial
+        held = len(partial)
+        partial.extend(values)
+        full = len(partial) - len(partial) % m
+        # add_buffer counts the elements that leave in full buffers.
+        self.n += len(partial) - held - full
+        if full:
+            self._partial = partial[full:]
+            for lo in range(0, full, m):
+                self.add_buffer(sorted(partial[lo : lo + m]))
+
+    def add_buffer(self, run: list, level: int = 0) -> None:
+        """Insert one sorted buffer of ``m`` elements, each standing for
+        ``2**level`` arrivals that precede anything in the partial buffer.
+
+        This is the one place buffers combine: two of equal weight merge
+        into one of twice the weight, keeping the odd- or the even-indexed
+        half of the merged order at random, and the carry repeats upward.
+        ``sorted`` on the concatenation is that merge — timsort finds the
+        two runs and merges them stably, ties keeping the earlier buffer's
+        elements first.  ``run`` is kept, not copied (a stored buffer is
+        never modified in place), so one sorted run can serve several
+        builders that saw the same stretch.
+        """
+        if len(run) != self.m:
+            raise ValueError("a buffer holds exactly m elements")
+        self.n += self.m << level
+        buffers = self._buffers
         while True:
-            stack = self._buffers.setdefault(level, [])
-            if not stack:
-                stack.append(buf)
+            stack = buffers.get(level)
+            if stack is None:
+                buffers[level] = [run]
                 return
-            other = stack.pop()
-            merged = _merge_sorted(other, buf)
-            buf = _random_halve(merged, self.rng)
+            if not stack:
+                stack.append(run)
+                return
+            merged = sorted(stack.pop() + run)
+            run = merged[1::2] if self.rng.random() < 0.5 else merged[::2]
             level += 1
 
     def merge_from(self, other: "QuantileSketchBuilder") -> None:
         """Absorb another builder with the same ``m`` (mergeability)."""
         if other.m != self.m:
             raise ValueError("buffer sizes must match to merge")
-        self.n += other.n
         for level in sorted(other._buffers):
             for buf in other._buffers[level]:
-                self._push(level, list(buf))
-        for v in other._partial:
-            self._partial.append(v)
-            if len(self._partial) >= self.m:
-                self._partial.sort()
-                self._push(0, self._partial)
-                self._partial = []
+                self.add_buffer(list(buf), level)
+        self.extend(other._partial)
+
+    # -- snapshot stand-ins ------------------------------------------------
+
+    def holding(self, values: list) -> "QuantileSketchBuilder":
+        """A copy that additionally holds ``values`` in its partial buffer
+        (they must not fill it); buffers and ``rng`` are shared, neither
+        builder is advanced.  The inverse of :meth:`release`."""
+        if len(self._partial) + len(values) >= self.m:
+            raise ValueError("holding() values would fill a buffer")
+        twin = copy.copy(self)
+        twin._partial = self._partial + values
+        twin.n = self.n + len(values)
+        return twin
+
+    def release(self) -> list:
+        """Remove and return the partial buffer, as if its elements had
+        not arrived yet."""
+        released, self._partial = self._partial, []
+        self.n -= len(released)
+        return released
 
     # -- queries -----------------------------------------------------------
 

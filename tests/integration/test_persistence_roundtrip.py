@@ -29,7 +29,8 @@ from repro import (
     TrackingService,
     WindowedCountScheme,
 )
-from repro.runtime import batch_from_stream
+from repro.persistence import StateCodecError
+from repro.runtime import TranscriptRecorder, batch_from_stream
 from repro.workloads import multi_tenant, timestamped
 
 K = 7
@@ -306,3 +307,95 @@ class TestServiceRoundtrip:
         for method in ("state_dict", "load_state_dict"):
             with pytest.raises(AttributeError):
                 service.query("total", method)
+
+
+class TestRankMidBlockCheckpoint:
+    """The rank tracker holds a chunk's open buffers once, as a shared
+    intake; snapshots keep the per-level partial-buffer layout.  Stopping
+    where the intake is non-empty must lose nothing, and a snapshot whose
+    levels disagree must be refused, not loaded."""
+
+    K = 4
+    STOP = 5000  # leaves every site a multiple of no level's buffer size
+
+    def build(self):
+        service = TrackingService(num_sites=self.K, seed=SEED)
+        service.register("p50", RandomizedRankScheme(0.02))
+        return service
+
+    def stream(self):
+        site_ids, items = batch_from_stream(
+            multi_tenant(9_000, self.K, tenants=3, burst=5, seed=6, labeled=False)
+        )
+        return site_ids, items
+
+    def encoded_trees(self, state):
+        return [
+            site["state"]["tree"]["state"]
+            for site in state["jobs"][0]["sites"]
+        ]
+
+    def test_snapshot_with_open_intake_resumes_the_exact_transcript(self):
+        site_ids, items = self.stream()
+        interrupted = self.build()
+        interrupted.ingest(site_ids[: self.STOP], items[: self.STOP])
+        trees = [site.tree for site in interrupted.job("p50").sites]
+        assert all(tree.intake for tree in trees)
+        assert all(
+            tree.count % builder.m for tree in trees for builder in tree.builders
+        )
+
+        state = json.loads(json.dumps(interrupted.state_dict()))
+        # Encoded per level: every builder carries its own open buffer.
+        for tree, encoded in zip(trees, self.encoded_trees(state)):
+            assert "intake" not in encoded
+            partials = [b["state"]["_partial"] for b in encoded["builders"]]
+            assert max(partials, key=len) == tree.intake
+            assert all(partials)
+        restored = TrackingService.from_state(state)
+
+        uninterrupted = self.build()
+        uninterrupted.ingest(site_ids[: self.STOP], items[: self.STOP])
+        # Taking the snapshot did not disturb the service it was taken of.
+        assert interrupted.state_dict() == uninterrupted.state_dict()
+
+        tails = []
+        for service in (restored, uninterrupted):
+            recorder = TranscriptRecorder().attach(service.job("p50").network)
+            drive(service, site_ids, items, self.STOP, len(site_ids))
+            tails.append(recorder.to_bytes())
+        assert tails[0] == tails[1] and tails[0]
+        for method, args in [
+            ("quantile", (0.5,)),
+            ("estimate_rank", (500,)),
+            ("estimate_total", ()),
+        ]:
+            assert restored.query("p50", method, *args) == uninterrupted.query(
+                "p50", method, *args
+            )
+        assert restored.comm.snapshot() == uninterrupted.comm.snapshot()
+        assert restored.state_dict() == uninterrupted.state_dict()
+
+    def corrupt(self, edit):
+        site_ids, items = self.stream()
+        service = self.build()
+        service.ingest(site_ids[: self.STOP], items[: self.STOP])
+        state = json.loads(json.dumps(service.state_dict()))
+        builders = self.encoded_trees(state)[0]["builders"]
+        edit([b["state"] for b in builders])
+        return state
+
+    def test_snapshot_whose_levels_hold_different_elements_is_refused(self):
+        def edit(builders):
+            builders[0]["_partial"][-1] += 1
+
+        with pytest.raises(StateCodecError, match="chunk-tree snapshot.*per-level layout"):
+            TrackingService.from_state(self.corrupt(edit))
+
+    def test_snapshot_whose_levels_disagree_on_the_count_is_refused(self):
+        def edit(builders):
+            builders[1]["_partial"].pop(0)
+            builders[1]["n"] -= 1
+
+        with pytest.raises(StateCodecError, match="chunk-tree snapshot: level 1.*per-level layout"):
+            TrackingService.from_state(self.corrupt(edit))

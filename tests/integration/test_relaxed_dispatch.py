@@ -15,6 +15,8 @@ The contract (docs/relaxed-mode.md):
   still sees its slice in order), so sharded answers are identical.
 """
 
+import statistics
+
 import pytest
 
 from repro import (
@@ -82,16 +84,22 @@ class TestRelaxedCluster:
         site_ids, _ = stream
         eps = 0.05
         values = list(range(N))
-        with Cluster(
-            RandomizedRankScheme(eps), K, seed=SEED, relaxed=True,
-            record_transcript=False,
-        ) as cluster:
-            cluster.ingest(site_ids, values)
-            rank = cluster.query("estimate_rank", N // 2)
+        errors = []
+        for seed in range(SEED, SEED + 5):
+            with Cluster(
+                RandomizedRankScheme(eps), K, seed=seed, relaxed=True,
+                record_transcript=False,
+            ) as cluster:
+                cluster.ingest(site_ids, values)
+                rank = cluster.query("estimate_rank", N // 2)
+            errors.append(abs(rank - N // 2))
         # The scheme's eps*n guarantee is with-constant-probability, not
-        # worst-case; 2x is the deterministic sanity envelope the
-        # accuracy benches also use for single runs.
-        assert abs(rank - N // 2) <= 2 * eps * N
+        # worst-case, and under relaxed dispatch each run is one draw
+        # from (seed x thread schedule): a single run outside the 2x
+        # envelope is expected now and then.  The median of independent
+        # runs is the paper's own boosting argument — it leaves the
+        # envelope only if most of them do.
+        assert statistics.median(errors) <= 2 * eps * N
 
     def test_relaxed_over_tcp_matches_loopback_for_deterministic(
         self, stream

@@ -165,6 +165,147 @@ class TestQuantileSketchProperties:
         assert a.finalize().total_weight == len(values)
 
 
+class _LoopBuilder:
+    """The builder as first written — one ``add`` per element, a
+    hand-rolled two-pointer merge, odd/even halving — kept as the
+    reference the C-speed primitives must match state for state."""
+
+    def __init__(self, m, rng):
+        self.m, self.rng, self.n = m, rng, 0
+        self._partial, self._buffers = [], {}
+
+    def add(self, value):
+        self.n += 1
+        self._partial.append(value)
+        if len(self._partial) >= self.m:
+            self._partial.sort()
+            self._push(0, self._partial)
+            self._partial = []
+
+    def _push(self, level, buf):
+        while True:
+            stack = self._buffers.setdefault(level, [])
+            if not stack:
+                stack.append(buf)
+                return
+            a, merged, i, j = stack.pop(), [], 0, 0
+            while i < len(a) and j < len(buf):
+                if a[i] <= buf[j]:
+                    merged.append(a[i])
+                    i += 1
+                else:
+                    merged.append(buf[j])
+                    j += 1
+            merged.extend(a[i:])
+            merged.extend(buf[j:])
+            buf = merged[1 if self.rng.random() < 0.5 else 0 :: 2]
+            level += 1
+
+
+def _state(builder):
+    # repr, not ==: 3 and 3.0 tie in every comparison, and which of the
+    # two survives a halving is exactly what merge stability decides.
+    return (
+        repr(builder._buffers),
+        repr(builder._partial),
+        builder.n,
+        builder.rng.getstate(),
+    )
+
+
+#: heavy ties, and int/float twins that compare equal but print apart
+tied_values = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=12).map(float),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    max_size=400,
+)
+
+
+class TestQuantileSketchDeliveryIndependence:
+    @given(
+        values=tied_values,
+        m=st.integers(min_value=1, max_value=20),
+        cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=12),
+        seed=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_extend_and_add_buffer_equal_repeated_add(
+        self, values, m, cuts, seed
+    ):
+        reference = _LoopBuilder(m, derive_rng(seed, "delivery"))
+        one_by_one = QuantileSketchBuilder(m, derive_rng(seed, "delivery"))
+        for v in values:
+            reference.add(v)
+            one_by_one.add(v)
+        assert _state(one_by_one) == _state(reference)
+
+        chunked = QuantileSketchBuilder(m, derive_rng(seed, "delivery"))
+        bounds = sorted({0, len(values), *(c % (len(values) + 1) for c in cuts)})
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo == m and chunked.n % m == 0:
+                chunked.add_buffer(sorted(values[lo:hi]))
+            else:
+                chunked.extend(values[lo:hi])
+        assert _state(chunked) == _state(reference)
+        assert repr(chunked.finalize().values) == repr(
+            one_by_one.finalize().values
+        )
+
+    @given(
+        values=tied_values,
+        split=st.integers(min_value=0, max_value=400),
+        m=st.sampled_from([1, 3, 4, 8]),
+        seed=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_merge_from_matches_the_loop_merge(self, values, split, m, seed):
+        split = min(split, len(values))
+
+        def build(cls, label, part):
+            builder = cls(m, derive_rng(seed, label))
+            for v in part:
+                builder.add(v)
+            return builder
+
+        a = build(QuantileSketchBuilder, "left", values[:split])
+        b = build(QuantileSketchBuilder, "right", values[split:])
+        a.merge_from(b)
+
+        # merge_from as first written: buffers level by level, then the
+        # partial element by element, all on the absorbing side's RNG.
+        ref = build(_LoopBuilder, "left", values[:split])
+        other = build(_LoopBuilder, "right", values[split:])
+        ref.n += other.n - len(other._partial)
+        for level in sorted(other._buffers):
+            for buf in other._buffers[level]:
+                ref._push(level, list(buf))
+        for v in other._partial:
+            ref.add(v)
+        assert _state(a) == _state(ref)
+
+    @given(
+        values=tied_values,
+        m=st.integers(min_value=2, max_value=20),
+        seed=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_holding_and_release_are_inverse_and_draw_nothing(
+        self, values, m, seed
+    ):
+        builder = QuantileSketchBuilder(m, derive_rng(seed, "hold"))
+        full = len(values) - len(values) % m
+        builder.extend(values[:full])
+        before = _state(builder)
+        twin = builder.holding(values[full:])
+        assert _state(builder) == before
+        assert twin.n == len(values) and twin.rng is builder.rng
+        assert twin.release() == values[full:]
+        assert _state(twin) == before
+
+
 class TestStickyProperties:
     @given(
         stream=small_streams,

@@ -12,7 +12,11 @@ from repro import (
     Simulation,
 )
 from repro.core.rank.randomized import RoundGeometry
-from repro.workloads import random_permutation_values, sorted_values
+from repro.workloads import (
+    random_permutation_values,
+    sorted_values,
+    uniform_sites,
+)
 
 from ..conftest import run_rank, true_rank
 
@@ -111,6 +115,28 @@ class TestRandomizedRank:
         sim, _ = run_rank(RandomizedRankScheme(eps), values, k)
         # Theory space/site is ~1/(eps sqrt(k)) * polylog = tens of words.
         assert sim.space.max_site_words < 1000
+
+    def test_site_space_counts_the_shared_intake_once(self):
+        # The paper's per-site space claim must not regress behind the
+        # ingest kernel: a site holds a chunk's open buffers once (the
+        # shared intake), which is never more than the one-open-buffer-
+        # per-level layout it replaced — 205 words at its peak on this
+        # stream, against 196 now.
+        eps, n, k = 0.05, 50_000, 16
+        values = random_permutation_values(n, seed=8)
+        sites = [s for s, _ in uniform_sites(n, k, seed=1)]
+        sim = Simulation(RandomizedRankScheme(eps), k, seed=0)
+        for position, (site_id, value) in enumerate(zip(sites, values)):
+            sim.process(site_id, value)
+            if position % 97 == 0:
+                tree = sim.sites[site_id].tree
+                # What each level would hold in an open buffer of its own.
+                per_level = sum(
+                    tree._backlog(level) for level in range(len(tree.builders))
+                )
+                assert len(tree.intake) <= per_level
+                assert len(tree.intake) < max(b.m for b in tree.builders)
+        assert sim.summary()["max_site_space_words"] == 196
 
     def test_canonical_decomposition_compact(self):
         eps, n, k = 0.05, 50_000, 16
