@@ -15,6 +15,7 @@ deterministic optimum the paper's randomized algorithm beats by sqrt(k).
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
@@ -205,8 +206,8 @@ class DeterministicFrequencyCoordinator(Coordinator):
     def top_items(self, m: int) -> list:
         """The m items with the largest estimated frequencies
         ((item, estimate) pairs, best first; see [3])."""
-        scored = sorted(self.total.items(), key=lambda t: -t[1])
-        return [(j, float(c)) for j, c in scored[:m]]
+        top = heapq.nsmallest(m, self.total.items(), key=lambda t: -t[1])
+        return [(j, float(c)) for j, c in top]
 
     # -- merge hooks (cross-shard query plane) -----------------------------
 

@@ -28,6 +28,8 @@ Total communication: ``O(sqrt(k)/eps * log N)`` (Theorem 3.1).
 
 from __future__ import annotations
 
+import heapq
+
 from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
 from ...runtime.rng import coin, derive_rng
 from ...sketch.sticky_sampling import StickySampler
@@ -325,8 +327,7 @@ class RandomizedFrequencyCoordinator(Coordinator):
         """
         items = set(self.frozen) | set(self.round_estimate)
         scored = [(j, self.estimate_frequency(j)) for j in items]
-        scored.sort(key=lambda t: -t[1])
-        return scored[:m]
+        return heapq.nsmallest(m, scored, key=lambda t: -t[1])
 
     # -- merge hooks (cross-shard query plane) -----------------------------
 

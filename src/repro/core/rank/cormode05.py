@@ -16,7 +16,7 @@ import bisect
 
 from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
 from ..rounds import GlobalCountTracker, LocalDoubler
-from .util import quantile_from_rank_fn
+from .util import quantile_from_rank_tables, step_table
 
 __all__ = ["Cormode05RankScheme"]
 
@@ -85,29 +85,43 @@ class _SnapshotCoordinator(Coordinator):
             if n_bar is not None:
                 self.broadcast(MSG_ROUND, n_bar)
 
+    @staticmethod
+    def _local_rank(below: int, spacing: int, count: int) -> float:
+        """One site's interpolated rank with ``below`` snapshot entries
+        under the probe: mid-gap, clamped to the site's count."""
+        if not below:
+            return 0.0
+        return min(max(below * spacing - spacing / 2.0, 0.0), count)
+
     def estimate_rank(self, x) -> float:
         rank = 0.0
         for count, spacing, values in self.snapshots.values():
-            below = bisect.bisect_left(values, x)
-            if below:
-                rank += min(max(below * spacing - spacing / 2.0, 0.0), count)
+            rank += self._local_rank(
+                bisect.bisect_left(values, x), spacing, count
+            )
         return rank
 
     def estimate_total(self) -> float:
         return float(sum(c for c, _, _ in self.snapshots.values()))
 
+    def rank_table(self) -> tuple:
+        """:meth:`estimate_rank` as a step table (see
+        :mod:`~repro.core.rank.util`): a snapshot entry weighs what
+        passing it adds to its site's interpolated rank."""
+        values: list = []
+        weights: list = []
+        for count, spacing, snapshot in self.snapshots.values():
+            steps = [
+                self._local_rank(below, spacing, count)
+                for below in range(len(snapshot) + 1)
+            ]
+            values += snapshot
+            weights += [hi - lo for lo, hi in zip(steps, steps[1:])]
+        return (*step_table(values, weights), self.estimate_total())
+
     def quantile(self, phi: float):
-        candidates = self.rank_candidates()
-        target = min(max(phi, 0.0), 1.0) * self.estimate_total()
-        return quantile_from_rank_fn(candidates, self.estimate_rank, target)
-
-    # -- merge hooks (cross-shard query plane) -----------------------------
-
-    def rank_candidates(self) -> list:
-        """Every snapshot value, sorted — the merge plane's candidates."""
-        return sorted(
-            {v for _, _, vals in self.snapshots.values() for v in vals}
-        )
+        table = self.rank_table()
+        return quantile_from_rank_tables(table[0], [table], phi)
 
     @property
     def n_bar(self) -> int:

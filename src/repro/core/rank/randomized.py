@@ -29,7 +29,7 @@ from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
 from ...runtime.rng import coin, derive_rng
 from ...sketch.mergeable_quantile import QuantileSketchBuilder
 from ..rounds import GlobalCountTracker, LocalDoubler
-from .util import quantile_from_rank_fn
+from .util import quantile_from_rank_tables, step_table
 
 __all__ = [
     "RandomizedRankScheme",
@@ -409,52 +409,51 @@ class RandomizedRankCoordinator(Coordinator):
 
     # -- queries -----------------------------------------------------------
 
+    def _samples(self):
+        """``(inverse sampling probability, values)`` of every residual
+        sample list: the frozen ones, then each site's pending one."""
+        yield from self.frozen_samples
+        if self.geometry is not None:
+            inv_p = 1.0 / self.geometry.p
+            for values in self.pending.values():
+                yield inv_p, values
+
     def estimate_rank(self, x) -> float:
         """Unbiased estimate of |{elements < x}| over the union of all
         streams, within eps*n with constant probability."""
         rank = 0.0
         for chunk in self.chunks.values():
             rank += chunk.rank(x)
-        for inv_p, values in self.frozen_samples:
+        for inv_p, values in self._samples():
             rank += inv_p * sum(1 for v in values if v < x)
-        if self.geometry is not None:
-            inv_p = 1.0 / self.geometry.p
-            for values in self.pending.values():
-                rank += inv_p * sum(1 for v in values if v < x)
         return rank
 
     def estimate_total(self) -> float:
         """Estimate of the total element count n (same estimator at +inf)."""
         total = sum(c.total_weight() for c in self.chunks.values())
-        for inv_p, values in self.frozen_samples:
+        for inv_p, values in self._samples():
             total += inv_p * len(values)
-        if self.geometry is not None:
-            inv_p = 1.0 / self.geometry.p
-            for values in self.pending.values():
-                total += inv_p * len(values)
         return total
 
-    def _candidates(self):
-        out = set()
+    def rank_table(self) -> tuple:
+        """:meth:`estimate_rank` as a step table (see
+        :mod:`~repro.core.rank.util`): every summary entry and residual
+        sample with its weight, sorted once."""
+        values: list = []
+        weights: list = []
         for chunk in self.chunks.values():
             for summary in chunk.nodes.values():
-                out.update(summary.values)
-        for _, values in self.frozen_samples:
-            out.update(values)
-        for values in self.pending.values():
-            out.update(values)
-        return sorted(out)
+                values += summary.values
+                weights += summary.weights
+        for inv_p, sample in self._samples():
+            values += sample
+            weights += [inv_p] * len(sample)
+        return (*step_table(values, weights), self.estimate_total())
 
     def quantile(self, phi: float):
         """A value whose rank is within eps*n of phi*n (w.c.p.)."""
-        target = min(max(phi, 0.0), 1.0) * self.estimate_total()
-        return quantile_from_rank_fn(self._candidates(), self.estimate_rank, target)
-
-    # -- merge hooks (cross-shard query plane) -----------------------------
-
-    def rank_candidates(self) -> list:
-        """Every stored value, sorted — the merge plane's candidate set."""
-        return self._candidates()
+        table = self.rank_table()
+        return quantile_from_rank_tables(table[0], [table], phi)
 
     @property
     def n_bar(self) -> int:

@@ -16,12 +16,11 @@ beat whenever ``k = o(1/eps^2)``.
 
 from __future__ import annotations
 
-import bisect
 import math
 
 from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
 from ...runtime.rng import derive_rng, trailing_level
-from ..rank.util import quantile_from_rank_fn
+from ..rank.util import quantile_from_rank_tables, step_table
 
 __all__ = ["DistributedSamplingScheme"]
 
@@ -85,8 +84,7 @@ class _SamplingCoordinator(Coordinator):
         return len(self.sample) * self.scale
 
     def estimate_total(self) -> float:
-        """Alias of :meth:`estimate` under the rank coordinators' name,
-        so the cross-shard quantile merge can fan out one method."""
+        """Alias of :meth:`estimate` under the rank coordinators' name."""
         return self.estimate()
 
     def estimate_frequency(self, item) -> float:
@@ -118,22 +116,19 @@ class _SamplingCoordinator(Coordinator):
         scored = sorted(counts.items(), key=lambda t: -t[1])
         return [(j, c * self.scale) for j, c in scored[:m]]
 
+    def rank_table(self) -> tuple:
+        """:meth:`estimate_rank` as a step table (see
+        :mod:`~repro.core.rank.util`): every sampled value at the
+        sample's scale."""
+        values = [v for (v, _) in self.sample]
+        weights = [self.scale] * len(values)
+        return (*step_table(values, weights), self.estimate())
+
     def quantile(self, phi: float):
-        values = sorted(v for (v, _) in self.sample)
-        if not values:
-            raise ValueError("sample is empty")
-        target = min(max(phi, 0.0), 1.0) * self.estimate()
-
-        def rank(x):
-            return bisect.bisect_left(values, x) * self.scale
-
-        return quantile_from_rank_fn(values, rank, target)
+        table = self.rank_table()
+        return quantile_from_rank_tables(table[0], [table], phi)
 
     # -- merge hooks (cross-shard query plane) -----------------------------
-
-    def rank_candidates(self) -> list:
-        """Sorted sample values — the merge plane's candidate set."""
-        return sorted(v for (v, _) in self.sample)
 
     def estimate_frequencies(self, items) -> list:
         """Batched :meth:`estimate_frequency` for cross-shard merges."""

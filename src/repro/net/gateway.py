@@ -597,6 +597,13 @@ class Gateway:
                 buckets=SIZE_BUCKETS,
             )
             fam.attach((), self.service.merge_candidates)
+            fam = r.histogram(
+                "repro_shard_merge_fanouts",
+                "Fan-out rounds (one fenced round trip to every hub "
+                "each) per merged query.",
+                buckets=SIZE_BUCKETS,
+            )
+            fam.attach((), self.service.merge_fanouts)
         backends = list(getattr(self.service, "backends", None) or ())
         if backends:
             fam = r.histogram(

@@ -14,10 +14,11 @@ answers.  The paper's trackers are exactly the mergeable kind:
   stream length (an item with global frequency ``>= phi * n`` must reach
   ``phi * n_s`` on at least one shard — pigeonhole — so the union of
   per-shard heavy hitters contains every true global heavy hitter);
-* **quantile summaries merge** — rank estimators are additive, so the
-  merged rank function is the per-candidate sum of per-shard rank
-  estimates and a merged quantile is read off it by the same binary
-  search the single-hub coordinators use.
+* **quantile summaries merge** — rank estimators are additive step
+  functions, so each hub ships its own whole as a *rank table* (see
+  :mod:`repro.core.rank.util`), the merged rank function is the sum of
+  the tables, and a merged quantile is read off it locally by the same
+  search the single-hub coordinators run over their one table.
 
 **Error composition.**  Per-shard hubs run at the job's *full* target
 ``eps`` — no budget splitting is needed:
@@ -37,10 +38,34 @@ answers.  The paper's trackers are exactly the mergeable kind:
 tests can assert against it.
 
 The merge plane is transport-agnostic: it sees shards only through a
-``fanout(method, *args)`` callable that queries every shard hub and
-returns the per-shard results (inline objects, worker threads or worker
-processes — the facade decides).  Methods with no merge rule raise
+``fanout(sub_queries)`` callable that runs one *round* — the whole list
+of sub-queries on every shard hub, per-shard results back (inline
+objects, worker threads, worker processes or TCP hubs — the facade
+decides).  Methods with no merge rule raise
 :class:`UnmergeableQueryError` naming the mergeable surface.
+
+**Round complexity.**  On placed hubs a round is one command and one
+reply per hub, and its collect fences that hub's relaxed pipeline, so
+rounds are what a merged read costs.  Every query takes a fixed number,
+whatever the hubs hold (``C`` = size of the candidate union, ``S_s`` =
+values stored on shard ``s``):
+
+=====================================  ======  ===========================
+query                                  rounds  reply per hub
+=====================================  ======  ===========================
+``estimate`` / ``estimate_total`` /    1       one number
+``estimate_rank`` /
+``estimate_frequency`` / default
+windowed default (``estimate()``)      2       one timestamp, one number
+``quantile(phi)``                      1       its rank table: ``2 S_s + 2``
+                                               numbers (15-17 KB of JSON
+                                               at ``S_s`` ~ 650)
+``heavy_hitters(phi)``                 2       its hitters and basis, then
+                                               ``C`` numbers (1 round when
+                                               no shard has a hitter)
+``top_items(m)``                       2       ``m`` pairs, then ``C``
+                                               numbers
+=====================================  ======  ===========================
 """
 
 from __future__ import annotations
@@ -105,13 +130,14 @@ def composed_error_bound(epsilon: float, shard_elements: Sequence[int]) -> dict:
     }
 
 
-def _require_single_method(replies) -> str:
-    names = {name for name, _ in replies}
-    if len(names) != 1:
-        raise UnmergeableQueryError(
-            f"shards resolved the default query differently: {sorted(names)}"
-        )
-    return next(iter(names))
+def _sub(method, *args, **kwargs) -> tuple:
+    """One sub-query of a fan-out round."""
+    return method, args, kwargs
+
+
+def _column(replies, index: int) -> list:
+    """Every shard's result of the round's ``index``-th sub-query."""
+    return [shard[index][1] for shard in replies]
 
 
 def merged_query(
@@ -123,9 +149,10 @@ def merged_query(
     Parameters
     ----------
     fanout:
-        ``fanout(method, *args, **kwargs)`` queries every shard hub and
-        returns a list of ``(resolved_method_name, result)`` pairs, one
-        per shard, in shard order.
+        ``fanout(sub_queries)`` runs one round: it ships the list of
+        ``(method, args, kwargs)`` sub-queries to every shard hub and
+        returns, per shard in shard order, the list of
+        ``(resolved_method_name, result)`` pairs, one per sub-query.
     problem:
         The job's problem family (``count``/``frequency``/``rank``/
         ``window``), used to pick family-specific rules.
@@ -143,43 +170,40 @@ def merged_query(
             # Shards see different newest timestamps; evaluate every
             # mirror at the globally newest one so silent shards decay
             # consistently instead of each reporting its own "now".
-            nows = [now for _, now in fanout("latest_timestamp")
-                    if now is not None]
+            nows = [
+                now
+                for now in _column(fanout([_sub("latest_timestamp")]), 0)
+                if now is not None
+            ]
             if not nows:
                 return 0.0
             return merge_counts(
-                r for _, r in fanout("estimate", max(nows))
+                _column(fanout([_sub("estimate", max(nows))]), 0)
             )
-        replies = fanout(method, *args, **kwargs)
-        _require_single_method(replies)
-        return merge_counts(r for _, r in replies)
+        replies = fanout([_sub(method, *args, **kwargs)])
+        names = {shard[0][0] for shard in replies}
+        if len(names) != 1:
+            raise UnmergeableQueryError(
+                "shards resolved the default query differently: "
+                f"{sorted(names)}"
+            )
+        return merge_counts(_column(replies, 0))
 
     if method == "quantile":
         if len(args) != 1 or kwargs:
             raise UnmergeableQueryError(
                 "cross-shard quantile takes exactly one argument (phi)"
             )
-        from ..core.rank.util import quantile_from_rank_fn
+        from ..core.rank.util import quantile_from_rank_tables
 
-        phi = args[0]
+        tables = _column(fanout([_sub("rank_table")]), 0)
         candidates: set = set()
-        for _, values in fanout("rank_candidates"):
+        for values, _, _ in tables:
             candidates.update(values)
         ordered = sorted(candidates)
         if observe_candidates is not None:
             observe_candidates(len(ordered))
-        if not ordered:
-            raise ValueError("no candidate values to search")
-        total = merge_counts(r for _, r in fanout("estimate_total"))
-        target = min(max(phi, 0.0), 1.0) * total
-
-        def merged_rank(x):
-            # Lazily evaluated: the binary search touches O(log C)
-            # candidates, each one fan-out, instead of ranking the
-            # whole candidate union on every shard.
-            return merge_counts(r for _, r in fanout("estimate_rank", x))
-
-        return quantile_from_rank_fn(ordered, merged_rank, target)
+        return quantile_from_rank_tables(ordered, tables, args[0])
 
     if method == "heavy_hitters":
         if len(args) != 1 or kwargs:
@@ -187,8 +211,11 @@ def merged_query(
                 "cross-shard heavy_hitters takes exactly one argument (phi)"
             )
         phi = args[0]
+        replies = fanout(
+            [_sub("heavy_hitters", phi), _sub("frequency_basis")]
+        )
         candidates = set()
-        for _, hitters in fanout("heavy_hitters", phi):
+        for hitters in _column(replies, 0):
             candidates.update(hitters)
         ordered = sorted(candidates, key=repr)
         if observe_candidates is not None:
@@ -196,8 +223,7 @@ def merged_query(
         if not ordered:
             return {}
         sums = _summed_frequencies(fanout, ordered)
-        basis = merge_counts(r for _, r in fanout("frequency_basis"))
-        threshold = phi * max(1.0, basis)
+        threshold = phi * max(1.0, merge_counts(_column(replies, 1)))
         return {
             item: f for item, f in zip(ordered, sums) if f >= threshold
         }
@@ -209,7 +235,7 @@ def merged_query(
             )
         m = args[0]
         candidates = set()
-        for _, scored in fanout("top_items", m):
+        for scored in _column(fanout([_sub("top_items", m)]), 0):
             candidates.update(item for item, _ in scored)
         ordered = sorted(candidates, key=repr)
         if observe_candidates is not None:
@@ -227,5 +253,5 @@ def merged_query(
 
 def _summed_frequencies(fanout, items: list) -> List[float]:
     """Per-item frequency estimates summed over all shards."""
-    per_shard = [r for _, r in fanout("estimate_frequencies", items)]
+    per_shard = _column(fanout([_sub("estimate_frequencies", items)]), 0)
     return [float(sum(col)) for col in zip(*per_shard)]

@@ -57,7 +57,12 @@ from ..obs.metrics import DEFAULT_BUCKETS, SIZE_BUCKETS, Histogram
 from ..obs.tracing import SpanRecorder
 from ..runtime import TrackingScheme, derive_seed
 from ..service.errors import DuplicateJobError, UnknownJobError
-from .merge import UnmergeableQueryError, composed_error_bound, merged_query
+from .merge import (
+    MERGEABLE_METHODS,
+    UnmergeableQueryError,
+    composed_error_bound,
+    merged_query,
+)
 from .router import ShardRouter
 
 __all__ = ["ShardedTrackingService", "ShardJobView"]
@@ -202,11 +207,13 @@ class ShardedTrackingService:
         self._jobs: Dict[str, ShardJobView] = {}
         #: dispatch-plane telemetry, owned here and always on (two
         #: clock reads per fan-out): spans for dispatch/merge/fence,
-        #: histograms for merge fan-out latency and candidate-union
-        #: sizes.  Scrapers attach these to their registry.
+        #: histograms for merge latency, candidate-union sizes and
+        #: fan-out rounds per merged query.  Scrapers attach these to
+        #: their registry.
         self.spans = SpanRecorder()
         self.merge_latency = Histogram(DEFAULT_BUCKETS)
         self.merge_candidates = Histogram(SIZE_BUCKETS)
+        self.merge_fanouts = Histogram(SIZE_BUCKETS)
         self._checkpoint_dir = checkpoint_dir
         self._wal_segment_records = wal_segment_records
         self._wal_sync = wal_sync
@@ -504,7 +511,9 @@ class ShardedTrackingService:
     def fence(self) -> None:
         """Drain outstanding relaxed batches (no-op in lockstep mode).
 
-        Every read/checkpoint/registry operation fences implicitly;
+        Every read/checkpoint/registry operation fences implicitly (a
+        merged read once per fan-out round: 1 or 2, see
+        :mod:`repro.shard.merge`);
         call this to surface deferred ingest errors at a point of your
         choosing (e.g. at the end of a load phase).
         """
@@ -551,10 +560,25 @@ class ShardedTrackingService:
             )[0]
             return result
 
-        def fanout(sub_method, *sub_args, **sub_kwargs):
+        rounds = 0
+
+        def fanout(sub_queries):
+            # One round: one command to every hub and one fenced reply
+            # back, however many sub-queries it carries — several ride
+            # the hub's ``multi`` command, one goes as the plain
+            # ``query`` it is (no wrapper to encode and unwrap).
+            nonlocal rounds
+            rounds += 1
+            queries = [
+                (name, sub_method, sub_args, sub_kwargs)
+                for sub_method, sub_args, sub_kwargs in sub_queries
+            ]
+            if len(queries) == 1:
+                replies = self._group.map("query", queries * self.num_shards)
+                return [[reply] for reply in replies]
+            commands = [("query", query) for query in queries]
             return self._group.map(
-                "query",
-                [(name, sub_method, sub_args, sub_kwargs)] * self.num_shards,
+                "multi", [(commands,)] * self.num_shards
             )
 
         started = time.perf_counter()
@@ -568,10 +592,24 @@ class ShardedTrackingService:
                 self.merge_candidates.observe(size)
                 attrs["candidates"] = size
 
-            result = merged_query(
-                fanout, view.problem, method, args, kwargs,
-                observe_candidates=observe,
-            )
+            try:
+                result = merged_query(
+                    fanout, view.problem, method, args, kwargs,
+                    observe_candidates=observe,
+                )
+            except AttributeError as exc:
+                if method not in ("quantile", "heavy_hitters", "top_items"):
+                    raise
+                # The hubs refused a merge hook, not the caller's
+                # method: say what the caller can do about it.
+                raise UnmergeableQueryError(
+                    f"job {name!r} ({view.scheme.name}) cannot answer "
+                    f"{method!r} across shards: {exc}; mergeable methods: "
+                    f"{list(MERGEABLE_METHODS)}"
+                ) from None
+            finally:
+                self.merge_fanouts.observe(rounds)
+                attrs["fanouts"] = rounds
         self.merge_latency.observe(time.perf_counter() - started)
         return result
 

@@ -187,6 +187,10 @@ class TestMetricsEndpoint:
         )
         assert float(values["repro_shard_merge_seconds_count"]) >= 1.0
         assert float(values["repro_shard_merge_candidates_count"]) >= 1.0
+        # A merged quantile is one fan-out round, whatever the hubs hold.
+        fanouts = float(values["repro_shard_merge_fanouts_count"])
+        assert fanouts >= 1.0
+        assert float(values["repro_shard_merge_fanouts_sum"]) == fanouts
 
     def test_json_metrics_agree_with_text(self, sharded_gateway):
         gw = sharded_gateway
@@ -232,6 +236,7 @@ class TestTrace:
         merge = next(s for s in body["spans"] if s["name"] == "merge")
         assert merge["attrs"]["job"] == "med"
         assert merge["attrs"]["candidates"] >= 1
+        assert merge["attrs"]["fanouts"] == 1
 
 
 class TestStandingQueries:

@@ -418,3 +418,26 @@ class TestShardedGateway:
             assert body["result"] == mirror.query("total")
             mirror.close()
         service.close()
+
+    def test_unmergeable_job_is_a_400_not_a_404(self):
+        from repro import (
+            MedianBoostedScheme,
+            RandomizedRankScheme,
+            ShardedTrackingService,
+        )
+
+        service = ShardedTrackingService(num_sites=8, num_shards=2, seed=5)
+        service.register(
+            "r", MedianBoostedScheme(RandomizedRankScheme(0.1), copies=3)
+        )
+        service.ingest([i % 8 for i in range(800)], list(range(800)))
+        with GatewayThread(service) as gw:
+            status, body = request(
+                gw, "GET", "/v1/query/r?method=quantile&arg=0.5"
+            )
+            assert status == 400
+            assert "'r'" in body["error"] and "median3" in body["error"]
+            assert "mergeable methods" in body["error"]
+            status, body = get(gw, "/v1/query/r?method=estimate_rank&arg=400")
+            assert status == 200 and body["result"] > 0
+        service.close()

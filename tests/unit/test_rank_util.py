@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.rank.util import quantile_from_rank_fn
+from repro.core.rank.util import (
+    quantile_from_rank_fn,
+    quantile_from_rank_tables,
+    step_table,
+)
 
 
 def make_rank_fn(sorted_values):
@@ -43,3 +47,40 @@ class TestQuantileFromRankFn:
         candidates = [1.0, 2.0, 3.0]
         rank = lambda x: 10.0 * sum(1 for v in candidates if v < x)
         assert quantile_from_rank_fn(candidates, rank, 15.0) == 2.0
+
+
+class TestStepTable:
+    def test_ranks_are_the_weight_strictly_below(self):
+        values, ranks = step_table([3, 1, 2, 1], [4.0, 1.0, 2.0, 0.5])
+        assert values == [1, 2, 3]
+        assert ranks == [0.0, 1.5, 3.5, 7.5]
+
+    def test_of_equal_values_the_first_given_is_kept(self):
+        values, _ = step_table([2.0, 1, 2, 1.0], [1.0] * 4)
+        assert [repr(v) for v in values] == ["1", "2.0"]
+
+    def test_empty(self):
+        assert step_table([], []) == ([], [0.0])
+
+
+class TestQuantileFromRankTables:
+    def test_one_table_is_its_own_quantile(self):
+        table = (*step_table([10, 20, 30], [1.0, 1.0, 2.0]), 4.0)
+        answers = [
+            quantile_from_rank_tables(table[0], [table], phi)
+            for phi in (0, 0.25, 0.5, 0.75, 1, 7)
+        ]
+        assert answers == [10, 10, 20, 30, 30, 30]
+
+    def test_tables_sum_where_one_has_nothing_stored(self):
+        a = (*step_table([1, 5], [10.0, 10.0]), 20.0)
+        b = (*step_table([3], [30.0]), 30.0)
+        empty = ([], [0.0], 0.0)
+        tables = [a, empty, b]
+        assert quantile_from_rank_tables([1, 3, 5], tables, 0.2) == 1
+        assert quantile_from_rank_tables([1, 3, 5], tables, 0.5) == 3
+        assert quantile_from_rank_tables([1, 3, 5], tables, 0.9) == 5
+
+    def test_no_candidates_raise(self):
+        with pytest.raises(ValueError, match="no candidate values"):
+            quantile_from_rank_tables([], [([], [0.0], 0.0)], 0.5)
