@@ -10,10 +10,10 @@ loop.  :mod:`repro.exec` is the shared substrate:
   ``dispatch_batch`` / ``query`` / ``checkpoint`` / ``restore`` /
   ``close`` over a submit/drain core) and :class:`ExecGroup`, the
   failure-safe fan-out used by the sharded service.
-* :mod:`repro.exec.dispatch` — the run dispatchers: ``drive_runs``
-  (the in-process lockstep loop behind ``Simulation.run_batched`` and
-  the batched ingest engine) plus ``dispatch_lockstep`` /
-  ``dispatch_relaxed`` (the distributed hub's two modes).
+* :mod:`repro.exec.dispatch` — ``drive_runs`` (the in-process
+  lockstep loop behind ``Simulation.run_batched`` and the batched
+  ingest engine), ``coalesce_runs`` and ``CreditWindow`` (the one
+  in-flight ledger of relaxed dispatch, on the hub and on the facade).
 * :mod:`repro.exec.workers` — worker kinds and their command tables:
   ``hub`` (a full :class:`~repro.service.TrackingService`) and ``sim``
   (one protocol stack), buildable wherever the backend places them.
@@ -28,11 +28,12 @@ the service layer.
 """
 
 from .base import EXECUTORS, ExecBackend, ExecError, ExecGroup, ExecWorkerError
-from .dispatch import dispatch_lockstep, dispatch_relaxed, drive_runs
+from .dispatch import CreditWindow, drive_runs
 
 __all__ = [
     "EXECUTORS",
     "ClusterBackend",
+    "CreditWindow",
     "ExecBackend",
     "ExecError",
     "ExecGroup",
@@ -41,8 +42,6 @@ __all__ = [
     "InprocBackend",
     "ProcessBackend",
     "ThreadBackend",
-    "dispatch_lockstep",
-    "dispatch_relaxed",
     "drive_runs",
     "make_backend",
     "make_group",

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import abc
 import time
-from collections import deque
 from typing import Callable, List, Optional, Sequence
 
 from ..obs.metrics import LATENCY_BUCKETS, Histogram
 from ..obs.tracing import current_trace
+from .dispatch import CreditWindow
 
 __all__ = [
     "EXECUTORS",
@@ -67,14 +67,18 @@ class ExecBackend(abc.ABC):
 
     def __init__(self, spec: dict):
         self.spec = spec
-        self._outstanding = 0
+        #: where posted-but-uncollected commands are booked: slot
+        #: ``_slot`` of ``_ledger``.  A standalone backend owns a
+        #: one-slot ledger; an :class:`ExecGroup` rebinds its backends
+        #: to one slot each of the fleet's.
+        self._ledger = CreditWindow(1)
+        self._slot = 0
         #: submit-to-collect latency per command.  Under relaxed
         #: dispatch a reply is collected at the next fence, so this
         #: histogram measures the *in-flight window* — exactly the
         #: pipelining the relaxed mode buys — rather than pure worker
         #: time.  Owned here, attached to a registry by whoever scrapes.
         self.latency = Histogram(LATENCY_BUCKETS)
-        self._post_clock: deque = deque()
 
     # -- core (subclass contract) ------------------------------------------
 
@@ -108,19 +112,19 @@ class ExecBackend(abc.ABC):
     @property
     def pending(self) -> int:
         """Commands posted but not yet collected."""
-        return self._outstanding
+        return self._ledger.pending(self._slot)
 
-    def submit(self, op: str, *args) -> None:
+    def submit(self, op: str, *args, weight: int = 0) -> None:
         """Post one command without waiting for its result.
 
         The caller's active trace context (if any) is captured into the
         command envelope, so spans the worker records — in a thread, a
         subprocess, or on a remote hub host — parent to the span that
-        was open at submit time.
+        was open at submit time.  ``weight`` is the number of runs the
+        command carries (see :class:`~repro.exec.dispatch.CreditWindow`).
         """
         self._post(op, args, current_trace())
-        self._outstanding += 1
-        self._post_clock.append(time.perf_counter())
+        self._ledger.post(self._slot, weight, time.perf_counter())
 
     def drain(self) -> list:
         """Collect every outstanding reply, in submission order.
@@ -131,18 +135,13 @@ class ExecBackend(abc.ABC):
         """
         results = []
         first_error: Optional[BaseException] = None
-        while self._outstanding > 0:
-            self._outstanding -= 1
-            posted = self._post_clock.popleft() if self._post_clock else None
+        while self.pending:
             try:
-                results.append(self._take())
+                results.append(self.collect_one())
             except BaseException as exc:
                 if first_error is None:
                     first_error = exc
                 results.append(None)
-            finally:
-                if posted is not None:
-                    self.latency.observe(time.perf_counter() - posted)
         if first_error is not None:
             raise first_error
         return results
@@ -150,22 +149,21 @@ class ExecBackend(abc.ABC):
     def collect_one(self) -> object:
         """Collect the single oldest outstanding reply (FIFO).
 
-        The credit-based windowed dispatch loop uses this to free
-        exactly one in-flight slot before posting the next sub-batch,
-        instead of fencing the whole pipe with :meth:`drain`.  Raises
-        the reply's worker error (the reply is still consumed, so the
-        stream never desynchronizes); raises :class:`ExecError` when
-        nothing is outstanding.
+        This is the one place a reply is consumed, so it is the one
+        place the command leaves the ledger.  The credit-based posting
+        loop (:meth:`ExecGroup.post`) uses it to free exactly one
+        in-flight slot instead of fencing the whole pipe with
+        :meth:`drain`.  Raises the reply's worker error (the reply is
+        still consumed, so the stream never desynchronizes); raises
+        :class:`ExecError` when nothing is outstanding.
         """
-        if self._outstanding <= 0:
+        if not self.pending:
             raise ExecError("no outstanding command to collect")
-        self._outstanding -= 1
-        posted = self._post_clock.popleft() if self._post_clock else None
+        posted = self._ledger.complete(self._slot)
         try:
             return self._take()
         finally:
-            if posted is not None:
-                self.latency.observe(time.perf_counter() - posted)
+            self.latency.observe(time.perf_counter() - posted)
 
     def submit_many(self, commands) -> None:
         """Post several commands as ONE ``multi`` round trip.
@@ -178,11 +176,6 @@ class ExecBackend(abc.ABC):
         fetch a hub's manifest and counters in a single trip.
         """
         self.submit("multi", [(op, tuple(args)) for op, args in commands])
-
-    def dispatch_many(self, commands) -> list:
-        """Run several commands in one round trip; list of results."""
-        self.submit_many(commands)
-        return self.drain()[-1]
 
     def dispatch_run(self, op: str, *args):
         """Run one command in lockstep: post it, wait, return its result."""
@@ -230,8 +223,7 @@ class ExecBackend(abc.ABC):
         """
         from .workers import restore_spec  # deferred: service-layer import
 
-        self._outstanding = 0
-        self._post_clock.clear()
+        self._ledger.clear(self._slot)
         self._respawn(restore_spec(self.spec))
 
     # -- context management ------------------------------------------------
@@ -246,7 +238,7 @@ class ExecBackend(abc.ABC):
         kind = self.spec.get("kind", "hub")
         return (
             f"{type(self).__name__}(kind={kind!r}, "
-            f"pending={self._outstanding})"
+            f"pending={self.pending})"
         )
 
 
@@ -258,14 +250,26 @@ class ExecGroup:
     concurrently — and its collect phase drains *every* backend before
     re-raising the first failure, so a dead worker never leaves a
     surviving worker's reply stream misaligned.
+
+    The group's ``ledger`` (one slot per backend) is the fleet's only
+    in-flight bookkeeping: every backend books its commands there, and
+    :meth:`post` is relaxed dispatch's credit-bounded submit.  Pass a
+    configured :class:`~repro.exec.dispatch.CreditWindow` for relaxed
+    dispatch; the default is a lockstep one.
     """
 
     def __init__(
         self,
         backends: Sequence[ExecBackend],
         owned: Optional[List[Callable[[], None]]] = None,
+        ledger: Optional[CreditWindow] = None,
     ):
         self.backends = list(backends)
+        if ledger is None:
+            ledger = CreditWindow(len(self.backends))
+        self.ledger = ledger
+        for slot, backend in enumerate(self.backends):
+            backend._ledger, backend._slot = self.ledger, slot
         self._owned = list(owned or [])
         self._closed = False
 
@@ -275,7 +279,19 @@ class ExecGroup:
     @property
     def pending(self) -> int:
         """Total commands posted but not collected, over all backends."""
-        return sum(backend.pending for backend in self.backends)
+        return len(self.ledger)
+
+    def post(self, index: int, weight: int, op: str, *args) -> None:
+        """Relaxed dispatch: post a ``weight``-run command to one
+        backend under the ledger's credits, collecting the oldest
+        outstanding reply (never a full fence) while it would exceed
+        them.  A deferred error from a reclaimed reply raises here."""
+        self.ledger.admit(index, weight, self.collect_oldest)
+        self.backends[index].submit(op, *args, weight=weight)
+
+    def collect_oldest(self) -> None:
+        """Collect the fleet's oldest outstanding reply."""
+        self.backends[self.ledger.oldest()].collect_one()
 
     def map(self, op: str, per_worker_args: Sequence[tuple],
             collect: bool = True):

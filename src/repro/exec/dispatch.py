@@ -1,6 +1,4 @@
-"""The shared run dispatchers: one loop, every plane.
-
-Three dispatch shapes cover every driving loop in the repo:
+"""The shared run dispatcher and the one in-flight ledger.
 
 * :func:`drive_runs` — the in-process lockstep loop.  This is the loop
   behind :meth:`Simulation.run_batched` *and* the multi-tenant batched
@@ -9,22 +7,6 @@ Three dispatch shapes cover every driving loop in the repo:
   here (rather than one copy per plane) is what makes "a job driven by
   the engine is transcript-identical to a standalone simulation" a
   structural fact instead of a test assertion.
-* :func:`dispatch_lockstep` — the distributed hub's default mode: one
-  run at a time, in global arrival order, waiting for each run's ack
-  (and servicing its protocol cascade) before posting the next.  This
-  is the mode whose transcripts are byte-identical to the simulator.
-* :func:`dispatch_relaxed` — the pipelined mode: post *every* run of
-  the batch up front (per-site FIFO keeps each site's local order
-  exact), then collect run completions and protocol messages as they
-  arrive.  Runs targeting disjoint sites overlap between protocol
-  messages, so a transport that charges a round trip per run stops
-  paying it per run and starts paying it per batch.  The coordinator
-  may now observe uplinks in a different interleaving — see
-  ``docs/relaxed-mode.md`` for the accuracy contract.
-
-On top of the relaxed shape, two hot-path stages make pipelined
-dispatch columnar and memory-bounded:
-
 * :func:`coalesce_runs` — merge runs into *super-runs* before posting.
   In order-preserving mode only consecutive same-site runs merge (an
   identity on one batch's decomposition, useful when concatenating
@@ -38,12 +20,14 @@ dispatch columnar and memory-bounded:
   lifted to typed numpy arrays when numpy is available and the chunk
   is large homogeneous numerics, so the frame codec packs them via
   ``tobytes`` instead of a per-element ``struct.pack`` walk.
-* :func:`dispatch_windowed` — the credit-based posting loop: at most
-  ``window`` original runs in flight in total and ``per_site_depth``
-  super-run frames in flight per site.  When posting would exceed a
-  credit, the dispatcher services inbound completions/messages until
-  credit frees up, so memory stays flat on huge batches and the
-  fence/checkpoint tail is bounded by the window, not the batch.
+* :class:`CreditWindow` — what is posted to which target and not yet
+  completed.  Every pipelined plane (the coordinator hub posting runs
+  to site actors, an :class:`~repro.exec.ExecGroup` posting commands to
+  shard hubs) keeps exactly one and books nothing else: the per-target
+  FIFO, the summed run weight, the ``window`` / ``per_site_depth``
+  bounds and their admit loop, and the ``dispatch_stats()`` counters
+  all live there.  An entry is removed where its reply is consumed, so
+  no reader of the ledger can see a stale figure.
 
 This module is dependency-free on purpose: the runtime, service, shard
 and net layers all import it, so it must not import any of them.
@@ -53,6 +37,7 @@ else in the repo.)
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Iterable, List, Optional, Tuple
 
 try:  # gate: keep the dispatcher importable on numpy-less installs
@@ -60,13 +45,7 @@ try:  # gate: keep the dispatcher importable on numpy-less installs
 except ImportError:  # pragma: no cover
     _np = None
 
-__all__ = [
-    "drive_runs",
-    "dispatch_lockstep",
-    "dispatch_relaxed",
-    "coalesce_runs",
-    "dispatch_windowed",
-]
+__all__ = ["drive_runs", "coalesce_runs", "CreditWindow"]
 
 #: shortest merged chunk worth lifting into a typed numpy array; below
 #: this the conversion costs more than the packing it accelerates
@@ -97,42 +76,6 @@ def drive_runs(host, runs, space_sample_interval: int) -> int:
             next_sweep = processed + interval
     host.elements_processed = processed
     return processed
-
-
-def dispatch_lockstep(
-    runs: Iterable[Tuple[int, list]],
-    run_one: Callable[[int, list], int],
-) -> int:
-    """Dispatch runs one at a time, in global arrival order.
-
-    ``run_one(site_id, chunk)`` must fully apply the run — including
-    every protocol message it triggers — before returning its element
-    count.  This is the transcript-exact mode: the interleaving the
-    coordinator observes is precisely the stream's arrival order.
-    """
-    total = 0
-    for site_id, chunk in runs:
-        total += run_one(site_id, chunk)
-    return total
-
-
-def dispatch_relaxed(
-    runs: Iterable[Tuple[int, list]],
-    post_run: Callable[[int, list], None],
-    collect_outstanding: Callable[[], int],
-) -> int:
-    """Post every run up front, then collect completions as they land.
-
-    ``post_run(site_id, chunk)`` enqueues one run without waiting (the
-    carrier must preserve per-site FIFO order); ``collect_outstanding``
-    blocks until every posted run has completed — servicing protocol
-    messages from *any* site as they arrive — and returns the total
-    element count.  Per-site transcripts stay exact; the cross-site
-    interleaving at the coordinator becomes arrival-order.
-    """
-    for site_id, chunk in runs:
-        post_run(site_id, chunk)
-    return collect_outstanding()
 
 
 def _columnar(chunk: list):
@@ -180,7 +123,7 @@ def coalesce_runs(
     """Merge runs into super-runs; returns ``(site_id, chunk, weight)``.
 
     ``weight`` is the number of original runs a super-run carries — the
-    unit :func:`dispatch_windowed` accounts in-flight credit in.
+    unit :class:`CreditWindow` accounts in-flight credit in.
 
     With ``per_site=False`` only *consecutive* same-site runs merge, so
     the global interleaving is preserved exactly (safe even for
@@ -194,8 +137,6 @@ def coalesce_runs(
     applying one merged ``on_elements`` is exactly equivalent to
     applying the original runs back to back.
     """
-    if window is not None and window < 1:
-        raise ValueError("window must be >= 1 (or None for unbounded)")
     if not per_site:
         out: List[Tuple[int, list, int]] = []
         last_site = None
@@ -246,55 +187,147 @@ def coalesce_runs(
     return out
 
 
-def dispatch_windowed(
-    runs: Iterable[Tuple[int, list, int]],
-    post_run: Callable[[int, list, int], None],
-    collect_outstanding: Callable[[], int],
-    *,
-    window: Optional[int] = None,
-    per_site_depth: Optional[int] = None,
-    inflight_total: Optional[Callable[[], int]] = None,
-    inflight_site: Optional[Callable[[int], int]] = None,
-    service_one: Optional[Callable[[], None]] = None,
-    on_stall: Optional[Callable[[], None]] = None,
-) -> int:
-    """Credit-based relaxed posting over ``(site_id, chunk, weight)``.
 
-    At most ``window`` original runs (sum of in-flight weights) and
-    ``per_site_depth`` super-run frames per site are in flight at once.
-    When posting the next super-run would exceed a credit, the
-    dispatcher calls ``service_one()`` — which must block until one
-    inbound completion/protocol frame has been serviced — until credit
-    frees up, invoking ``on_stall`` once per wait iteration.  With both
-    bounds None this degenerates to :func:`dispatch_relaxed` (post
-    everything, then collect).
 
-    ``inflight_total()`` / ``inflight_site(site_id)`` report the
-    carrier's current in-flight weight / per-site frame count.  A
-    super-run heavier than the whole window still posts once the pipe
-    is empty, so progress is unconditional.
+class CreditWindow:
+    """The in-flight ledger of one pipelined plane.
+
+    One FIFO of ``(post_seq, weight, stamp)`` entries per target (site
+    actor or shard hub — replies are FIFO per target, so completion is
+    always a ``popleft``), plus the two credit bounds of relaxed
+    dispatch: at most ``window`` *runs* (summed entry weights) in
+    flight in total and ``per_site_depth`` entries in flight per
+    target; None leaves a dimension unbounded.  Commands that carry no
+    runs ride the same FIFO with weight 0: they take no window credit
+    and are not counted as posted frames.
+
+    The owner calls :meth:`admit` then :meth:`post` where it sends, and
+    :meth:`complete` where it consumes the reply — nowhere else.
     """
-    bounded = (window is not None or per_site_depth is not None) and (
-        inflight_total is not None and service_one is not None
-    )
-    for site_id, chunk, weight in runs:
-        if bounded:
-            while True:
-                total = inflight_total()
-                if total <= 0:
-                    break
-                if window is not None and total + weight > window:
-                    pass  # over the global credit — service and retry
-                elif (
-                    per_site_depth is not None
-                    and inflight_site is not None
-                    and inflight_site(site_id) >= per_site_depth
-                ):
-                    pass  # site pipe at depth — service and retry
-                else:
-                    break
-                if on_stall is not None:
-                    on_stall()
-                service_one()
-        post_run(site_id, chunk, weight)
-    return collect_outstanding()
+
+    def __init__(
+        self,
+        num_targets: int,
+        *,
+        relaxed: bool = False,
+        window: Optional[int] = None,
+        per_site_depth: Optional[int] = None,
+    ):
+        if not relaxed and (window is not None or per_site_depth is not None):
+            raise ValueError(
+                "window/per_site_depth only apply to relaxed dispatch; "
+                "pass relaxed=True"
+            )
+        if window is not None and window < 1:
+            raise ValueError("window must be >= 1 (or None for unbounded)")
+        if per_site_depth is not None and per_site_depth < 1:
+            raise ValueError(
+                "per_site_depth must be >= 1 (or None for unbounded)"
+            )
+        self.relaxed = bool(relaxed)
+        self.window = window
+        self.per_site_depth = per_site_depth
+        self._fifos = [deque() for _ in range(num_targets)]
+        self._entries = 0
+        self._seq = 0
+        #: summed weight (runs) of every uncompleted entry
+        self.weight = 0
+        self.frames_posted = 0
+        self.runs_posted = 0
+        self.max_inflight_runs = 0
+        self.window_stalls = 0
+
+    @property
+    def mode(self) -> str:
+        """``lockstep``, ``relaxed`` (unbounded) or ``windowed``."""
+        if not self.relaxed:
+            return "lockstep"
+        if self.window is not None or self.per_site_depth is not None:
+            return "windowed"
+        return "relaxed"
+
+    def __len__(self) -> int:
+        """Entries in flight over all targets."""
+        return self._entries
+
+    def pending(self, target: int) -> int:
+        """Entries in flight towards ``target``."""
+        return len(self._fifos[target])
+
+    def admit(self, target: int, weight: int,
+              reclaim: Callable[[], None]) -> None:
+        """Free the credit a ``weight``-run post to ``target`` needs.
+
+        While the post would exceed ``window`` runs in total or
+        ``per_site_depth`` entries on ``target``, count a stall and call
+        ``reclaim()``, which must block until the owner has serviced one
+        inbound event (typically — not necessarily — a completion).  A
+        post heavier than the whole window goes out once the pipe is
+        empty, so progress is unconditional.
+        """
+        window, depth = self.window, self.per_site_depth
+        fifo = self._fifos[target]
+        while self.weight > 0 and (
+            (window is not None and self.weight + weight > window)
+            or (depth is not None and len(fifo) >= depth)
+        ):
+            self.window_stalls += 1
+            reclaim()
+
+    def post(self, target: int, weight: int = 0, stamp=None) -> None:
+        """Book one entry towards ``target``; ``stamp`` is handed back
+        by :meth:`complete` (backends keep the post time there)."""
+        self._seq += 1
+        self._fifos[target].append((self._seq, weight, stamp))
+        self._entries += 1
+        if weight:
+            self.weight += weight
+            self.frames_posted += 1
+            self.runs_posted += weight
+            if self.weight > self.max_inflight_runs:
+                self.max_inflight_runs = self.weight
+
+    def complete(self, target: int):
+        """Remove ``target``'s oldest entry; returns its ``stamp``."""
+        _, weight, stamp = self._fifos[target].popleft()
+        self._entries -= 1
+        self.weight -= weight
+        return stamp
+
+    def oldest(self) -> Optional[int]:
+        """The target holding the globally oldest entry (None: idle)."""
+        best = None
+        best_seq = 0
+        for target, fifo in enumerate(self._fifos):
+            if fifo and (best is None or fifo[0][0] < best_seq):
+                best, best_seq = target, fifo[0][0]
+        return best
+
+    def clear(self, target: Optional[int] = None) -> None:
+        """Forget every entry (towards ``target`` only, when given):
+        the replies will never be consumed — a failed batch, a
+        respawned worker.  Lifetime counters are kept."""
+        fifos = self._fifos if target is None else [self._fifos[target]]
+        for fifo in fifos:
+            self._entries -= len(fifo)
+            self.weight -= sum(entry[1] for entry in fifo)
+            fifo.clear()
+
+    def stats(self) -> dict:
+        """The ``dispatch_stats()`` of whoever owns this ledger.
+
+        ``max_inflight_runs`` is the high-water mark of in-flight runs —
+        the flat-memory witness: with a window it never exceeds the
+        window (or the heaviest single post).  ``runs_per_frame`` is the
+        lifetime mean coalescing ratio."""
+        frames = self.frames_posted
+        return {
+            "mode": self.mode,
+            "window": self.window,
+            "per_site_depth": self.per_site_depth,
+            "frames_posted": frames,
+            "runs_posted": self.runs_posted,
+            "runs_per_frame": self.runs_posted / frames if frames else 0.0,
+            "max_inflight_runs": self.max_inflight_runs,
+            "window_stalls": self.window_stalls,
+        }

@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence
 
 from ..obs.tracing import trace_scope
 from .base import EXECUTORS, ExecBackend, ExecError, ExecGroup, ExecWorkerError
+from .dispatch import CreditWindow
 from .workers import build_worker, close_worker, worker_commands
 
 __all__ = [
@@ -314,6 +315,7 @@ def make_group(
     executor: str,
     specs: Sequence[dict],
     hub_addresses: Optional[List[str]] = None,
+    ledger: Optional[CreditWindow] = None,
 ) -> ExecGroup:
     """Build the worker fleet for a facade (one backend per spec).
 
@@ -321,10 +323,14 @@ def make_group(
     workers land on the ``repro hub`` hosts named by ``hub_addresses``
     (round-robin); with no addresses a TCP host is self-hosted on an
     ephemeral local port — the zero-config mode — and owned (closed) by
-    the returned group.
+    the returned group.  ``ledger`` is the fleet's in-flight ledger
+    (see :class:`ExecGroup`), built — and so validated — by the caller
+    before any worker is spawned.
     """
     if executor in ("inline", "thread", "process"):
-        return ExecGroup([make_backend(executor, spec) for spec in specs])
+        return ExecGroup(
+            [make_backend(executor, spec) for spec in specs], ledger=ledger
+        )
     if executor != "cluster":
         raise ExecError(
             f"unknown executor {executor!r}; choose from {EXECUTORS}"
@@ -363,4 +369,4 @@ def make_group(
         loop.close()
         raise
     owned.append(loop.close)
-    return ExecGroup(backends, owned=owned)
+    return ExecGroup(backends, owned=owned, ledger=ledger)

@@ -30,6 +30,7 @@ import concurrent.futures
 import queue
 import threading
 import traceback
+from collections import deque
 from typing import Optional
 
 from ..obs.metrics import MetricsRegistry
@@ -300,7 +301,7 @@ class ClusterBackend(ExecBackend):
         self._own_host = None
         self._conn = None
         self._closed = False
-        self._send_failures: list = []
+        self._send_failures: deque = deque()
         try:
             from ..net.transport import TcpTransport
 
@@ -362,7 +363,7 @@ class ClusterBackend(ExecBackend):
     def _take(self):
         from ..persistence.codec import decode_value  # deferred
 
-        send_error = self._send_failures.pop(0)
+        send_error = self._send_failures.popleft()
         if send_error is not None:
             raise send_error
         reply = self._recv()

@@ -62,9 +62,9 @@ per-site exactness does not:
   Send failures surface on the next ``recv`` (EOF), exactly like a
   peer death.
 * *Bounded windows* — ``window``/``per_site_depth`` cap in-flight runs
-  (:func:`~repro.exec.dispatch.dispatch_windowed`), so memory stays
-  flat on huge batches and a fence waits out at most a window, not a
-  batch.
+  (the hub's :class:`~repro.exec.dispatch.CreditWindow`), so memory
+  stays flat on huge batches and a fence waits out at most a window,
+  not a batch.
 """
 
 from __future__ import annotations
@@ -76,11 +76,7 @@ import time
 from collections import deque
 from typing import List, Optional
 
-from ..exec.dispatch import (
-    coalesce_runs,
-    dispatch_lockstep,
-    dispatch_windowed,
-)
+from ..exec.dispatch import CreditWindow, coalesce_runs
 from ..persistence.codec import (
     StateDecoder,
     StateEncoder,
@@ -186,7 +182,7 @@ class SiteWorker:
         # protocol send (the hub pipelines runs in relaxed mode); they
         # execute after the current command completes, preserving the
         # site's local stream order.
-        self._deferred: list = []
+        self._deferred: deque = deque()
 
     # -- the uplink RPC (called from inside protocol handlers) -------------
 
@@ -267,7 +263,7 @@ class SiteWorker:
         """Serve commands until ``stop`` or connection EOF."""
         while True:
             command = (
-                self._deferred.pop(0) if self._deferred else self._recv()
+                self._deferred.popleft() if self._deferred else self._recv()
             )
             if command is None:
                 return
@@ -492,18 +488,18 @@ class CoordinatorHub:
         self.uplink_drop_rate = uplink_drop_rate
         self.rpc_timeout = rpc_timeout
         self.relaxed = bool(relaxed)
-        if window is not None and window < 1:
-            raise ValueError("window must be >= 1 (or None for unbounded)")
-        if per_site_depth is not None and per_site_depth < 1:
-            raise ValueError(
-                "per_site_depth must be >= 1 (or None for unbounded)"
-            )
-        # In-flight credit bounds for relaxed dispatch (None: unbounded).
-        # ``window`` counts original runs (super-run weights); its value
-        # also sets the coalescing group size, so windowed relaxed is
-        # per-site transcript-identical to unbounded relaxed.
-        self.window = window
-        self.per_site_depth = per_site_depth
+        # Relaxed dispatch's only bookkeeping: runs posted to each site
+        # and not yet completed, under the in-flight credit bounds
+        # (None: unbounded).  ``window`` counts original runs
+        # (super-run weights); its value also sets the coalescing group
+        # size, so windowed relaxed is per-site transcript-identical to
+        # unbounded relaxed.
+        self.ledger = CreditWindow(
+            num_sites,
+            relaxed=relaxed,
+            window=window,
+            per_site_depth=per_site_depth,
+        )
         # Streamed (ack-free) uplinks are only negotiated when the
         # scheme declares its sites tolerant of deferred responses; a
         # sync-uplink scheme keeps the blocking ack RPC even in relaxed
@@ -535,15 +531,12 @@ class CoordinatorHub:
         self._inbox: queue.Queue = queue.Queue()
         self._pumps: List = [None] * num_sites
         self._dead = set()
-        # Relaxed-dispatch bookkeeping: runs posted but not completed,
-        # and uplinks that arrived while another cascade was running
-        # (cascades stay atomic; deferred uplinks run next, in order).
-        self._outstanding = [0] * num_sites
-        self._outstanding_total = 0
         self._collected_n = 0
-        self._pending_uplinks: List = []
+        # Uplinks that arrived while another cascade was running
+        # (cascades stay atomic; deferred uplinks run next, in order).
+        self._pending_uplinks: deque = deque()
         # Each relaxed batch gets an epoch, echoed by run_done frames:
-        # after a failed batch (reset counters, runs still in flight) a
+        # after a failed batch (cleared ledger, runs still in flight) a
         # stale completion must not be booked against the next batch.
         self._run_epoch = 0
         # deliver_done frames are pure sync tokens (one per delivered
@@ -551,20 +544,9 @@ class CoordinatorHub:
         # them out of pairing order; a token that surfaces while another
         # site is engaged is banked here for its waiter.
         self._done_credits = [0] * num_sites
-        # Fire-and-forget senders (one per connection, built at connect
-        # time) and per-site FIFO weight queues: each posted super-run's
-        # original-run count, popped when its run_done lands, so the
-        # windowed dispatcher accounts in-flight credit in run units.
+        # Fire-and-forget senders (one per connection, built at
+        # connect time).
         self._posters: List = [None] * num_sites
-        self._posted_weights = [deque() for _ in range(num_sites)]
-        self._inflight_weight = 0
-        # Plain-counter dispatch telemetry (owned here, bridged into the
-        # metrics registry by whoever hosts the hub — never a registry
-        # lookup on the hot path).
-        self.stat_frames_posted = 0
-        self.stat_runs_posted = 0
-        self.stat_window_stalls = 0
-        self.stat_max_inflight_runs = 0
 
     # -- wiring ------------------------------------------------------------
 
@@ -819,9 +801,11 @@ class CoordinatorHub:
         """Relaxed mode: post one (super-)run fire-and-forget.
 
         ``weight`` is the number of original runs the chunk carries —
-        the unit in-flight credit is accounted in.  The weight queue is
-        per-site FIFO, matching run_done arrival order.
+        the unit in-flight credit is accounted in.  While the post
+        would exceed a credit, inbound completions/messages are
+        serviced first, so memory stays flat on huge batches.
         """
+        self.ledger.admit(site_id, weight, self._service_one)
         frame = {
             "t": "run",
             "chunk": encode_chunk(chunk),
@@ -837,32 +821,21 @@ class CoordinatorHub:
             # sensitive to dispatch pacing, so their path stays exactly
             # the pre-streaming one.
             self._send_sync(site_id, frame)
-        self._outstanding[site_id] += 1
-        self._outstanding_total += 1
-        self._posted_weights[site_id].append(weight)
-        self._inflight_weight += weight
-        self.stat_frames_posted += 1
-        self.stat_runs_posted += weight
-        if self._inflight_weight > self.stat_max_inflight_runs:
-            self.stat_max_inflight_runs = self._inflight_weight
+        self.ledger.post(site_id, weight)
 
     def _note_run_done(self, site_id: int, message: dict) -> None:
         """Account one completed run (relaxed mode).
 
         A frame from an earlier epoch is a leftover of a batch whose
-        dispatch failed (its counters were reset with runs in flight);
+        dispatch failed (its ledger was cleared with runs in flight);
         booking it here would inflate the current batch's element count
         and complete a run the current batch never posted, so it is
         dropped entirely.
         """
         if message.get("e") != self._run_epoch:
             return
-        if self._outstanding[site_id] > 0:
-            self._outstanding[site_id] -= 1
-            self._outstanding_total -= 1
-            weights = self._posted_weights[site_id]
-            if weights:
-                self._inflight_weight -= weights.popleft()
+        if self.ledger.pending(site_id):
+            self.ledger.complete(site_id)
         self._collected_n += message["n"]
         self.proxies[site_id].last_space = message["space"]
         self.space.record_site(site_id, message["space"])
@@ -873,17 +846,18 @@ class CoordinatorHub:
         A deferred uplink runs first (its cascade was postponed to keep
         an earlier one atomic); otherwise the next inbound frame is
         taken from the shared inbox.  This is both the collect loop's
-        body and what the windowed dispatcher calls while waiting for
-        in-flight credit."""
+        body and what the ledger's admit loop calls while waiting for
+        in-flight credit — the one place relaxed dispatch picks what to
+        do next."""
         if self._pending_uplinks:
-            sender, frame = self._pending_uplinks.pop(0)
+            sender, frame = self._pending_uplinks.popleft()
             self._uplink_sync(sender, frame)
             return
         try:
             sender, message = self._inbox.get(timeout=self.rpc_timeout)
         except queue.Empty:
             waiting = [
-                s for s, n in enumerate(self._outstanding) if n > 0
+                s for s in range(self.num_sites) if self.ledger.pending(s)
             ]
             raise SiteUnavailableError(
                 f"sites {waiting} did not finish their runs within "
@@ -891,7 +865,7 @@ class CoordinatorHub:
             ) from None
         if message is None:
             self._dead.add(sender)
-            if self._outstanding[sender] > 0:
+            if self.ledger.pending(sender):
                 raise SiteUnavailableError(
                     f"site {sender} closed the connection mid-run"
                 )
@@ -920,12 +894,9 @@ class CoordinatorHub:
         arrival order.  The loop also drains deferred uplinks that
         arrive *after* the last run completed (a site may report, then
         finish its run; FIFO puts the report first)."""
-        while self._outstanding_total > 0 or self._pending_uplinks:
+        while len(self.ledger) > 0 or self._pending_uplinks:
             self._service_one()
         return self._collected_n
-
-    def _count_stall(self) -> None:
-        self.stat_window_stalls += 1
 
     def _ingest_sync(self, site_ids, items) -> int:
         runs = decompose_runs(site_ids, items)
@@ -942,35 +913,27 @@ class CoordinatorHub:
             # the ack RPC already paces.
             super_runs = coalesce_runs(
                 runs,
-                window=self.window,
+                window=self.ledger.window,
                 per_site=self._stream_uplinks,
             )
             try:
-                total = dispatch_windowed(
-                    super_runs,
-                    self._post_run,
-                    self._collect_outstanding,
-                    window=self.window,
-                    per_site_depth=self.per_site_depth,
-                    inflight_total=lambda: self._inflight_weight,
-                    inflight_site=self._outstanding.__getitem__,
-                    service_one=self._service_one,
-                    on_stall=self._count_stall,
-                )
+                for site_id, chunk, weight in super_runs:
+                    self._post_run(site_id, chunk, weight)
+                total = self._collect_outstanding()
             except BaseException:
-                # A failed overlapped batch leaves runs in flight; the
-                # counters must not poison the next dispatch.
-                self._outstanding = [0] * self.num_sites
-                self._outstanding_total = 0
+                # A failed overlapped batch leaves runs in flight; they
+                # must not poison the next dispatch.
+                self.ledger.clear()
                 self._pending_uplinks.clear()
                 self._done_credits = [0] * self.num_sites
-                self._posted_weights = [
-                    deque() for _ in range(self.num_sites)
-                ]
-                self._inflight_weight = 0
                 raise
         else:
-            total = dispatch_lockstep(runs, self._run_sync)
+            # One run at a time, in global arrival order, each fully
+            # applied — cascade included — before the next is sent: the
+            # transcript-exact mode.
+            total = 0
+            for site_id, chunk in runs:
+                total += self._run_sync(site_id, chunk)
         self.elements_processed += total
         self.space.record_coordinator(self.coordinator.space_words())
         return total
@@ -1052,32 +1015,12 @@ class CoordinatorHub:
     @property
     def dispatch_mode(self) -> str:
         """``lockstep``, ``relaxed`` (unbounded) or ``windowed``."""
-        if not self.relaxed:
-            return "lockstep"
-        if self.window is not None or self.per_site_depth is not None:
-            return "windowed"
-        return "relaxed"
+        return self.ledger.mode
 
     def dispatch_stats(self) -> dict:
-        """Dispatch-plane telemetry (plain counters, zero hot-path cost).
-
-        ``max_inflight_runs`` is the high-water mark of in-flight
-        original runs — the flat-memory witness: with a window it never
-        exceeds the window.  ``runs_per_frame`` is the lifetime mean
-        coalescing ratio."""
-        frames = self.stat_frames_posted
-        return {
-            "mode": self.dispatch_mode,
-            "window": self.window,
-            "per_site_depth": self.per_site_depth,
-            "frames_posted": frames,
-            "runs_posted": self.stat_runs_posted,
-            "runs_per_frame": (
-                self.stat_runs_posted / frames if frames else 0.0
-            ),
-            "max_inflight_runs": self.stat_max_inflight_runs,
-            "window_stalls": self.stat_window_stalls,
-        }
+        """Dispatch-plane telemetry: the ledger's plain counters (see
+        :meth:`~repro.exec.dispatch.CreditWindow.stats`)."""
+        return self.ledger.stats()
 
     def summary(self) -> dict:
         """Flat cost metrics, shaped like ``Simulation.summary``."""

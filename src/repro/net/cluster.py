@@ -82,7 +82,7 @@ class Cluster:
     relaxed:
         Pipelined dispatch: post every run of a batch before collecting
         any ack, so runs targeting disjoint sites overlap between
-        protocol messages (:func:`repro.exec.dispatch.dispatch_relaxed`).
+        protocol messages.
         The default — lockstep — pays one round trip per run and is
         byte-identical to :class:`~repro.runtime.Simulation`; relaxed
         mode trades that transcript determinism for latency, keeping
@@ -96,7 +96,8 @@ class Cluster:
         Relaxed-mode in-flight bounds (``docs/relaxed-mode.md`` →
         "Windowing"): at most ``window`` original runs in flight in
         total and ``per_site_depth`` super-run frames per site.  None
-        (default) leaves the dimension unbounded.  Ignored in lockstep.
+        (default) leaves the dimension unbounded.  Either without
+        ``relaxed=True`` is a :class:`ValueError`.
     """
 
     def __init__(
@@ -121,11 +122,6 @@ class Cluster:
         self.transport_kind = transport
         self.op_timeout = op_timeout
         self.relaxed = bool(relaxed)
-        if not relaxed and (window is not None or per_site_depth is not None):
-            raise ValueError(
-                "window/per_site_depth only apply to relaxed dispatch; "
-                "pass relaxed=True"
-            )
         self._host: Optional[SiteHost] = None
         self._manager: Optional[CheckpointManager] = None
         self._wal = None

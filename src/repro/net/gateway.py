@@ -719,7 +719,7 @@ class Gateway:
     def _collect_dispatch(self) -> None:
         """Bridge the facade's plain windowed-dispatch counters."""
         self.m_window_stalls.labels().value = float(
-            getattr(self.service, "window_stalls", 0)
+            self.service.dispatch_stats()["window_stalls"]
         )
 
     def _collect_net(self) -> None:

@@ -30,6 +30,7 @@ connection the instance created.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import Dict, Optional
 
 from .frames import (
@@ -190,7 +191,7 @@ class _TcpConnection:
         self._reader = reader
         self._writer = writer
         self._decoder = FrameDecoder(max_frame)
-        self._pending = []
+        self._pending = deque()
         self._max_frame = max_frame
         self._binary = binary
         self._stats = stats if stats is not None else _fresh_stats()
@@ -258,7 +259,7 @@ class _TcpConnection:
                 return None
             self._stats["bytes_received"] += len(data)
             self._pending.extend(self._decoder.feed(data))
-        payload = self._pending.pop(0)
+        payload = self._pending.popleft()
         self._stats["frames_received"] += 1
         # decode_payload auto-detects binary vs JSON, so either peer
         # encoding is accepted regardless of this side's send mode.

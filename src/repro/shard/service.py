@@ -43,10 +43,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
 from typing import Dict, Iterable, List, Optional
 
 from ..exec import EXECUTORS, make_group
+from ..exec.dispatch import CreditWindow
 from ..exec.workers import hub_spec
 
 try:  # optional accelerator for the windowed run-count scan
@@ -147,7 +147,7 @@ class ShardedTrackingService:
         collects the *oldest* outstanding reply only — never a full
         fence — so pipelining continues while memory stays flat on
         unbounded streams.  None (default) leaves a dimension
-        unbounded; ignored in lockstep.
+        unbounded; either without ``relaxed=True`` is a ``ValueError``.
     """
 
     def __init__(
@@ -178,29 +178,17 @@ class ShardedTrackingService:
         self.space_budget_words = space_budget_words
         self.executor = executor
         self.relaxed = bool(relaxed)
-        if not relaxed and (window is not None or per_site_depth is not None):
-            raise ValueError(
-                "window/per_site_depth only apply to relaxed dispatch; "
-                "pass relaxed=True"
-            )
-        if window is not None and window < 1:
-            raise ValueError("window must be >= 1 (or None for unbounded)")
-        if per_site_depth is not None and per_site_depth < 1:
-            raise ValueError(
-                "per_site_depth must be >= 1 (or None for unbounded)"
-            )
+        # The fleet's in-flight ledger (one slot per shard hub), built
+        # before any worker is spawned so bad bounds leak nothing.
+        ledger = CreditWindow(
+            num_shards,
+            relaxed=relaxed,
+            window=window,
+            per_site_depth=per_site_depth,
+        )
         self.window = window
         self.per_site_depth = per_site_depth
-        #: in-flight ledger for windowed posting: per shard, a FIFO of
-        #: ``(post_seq, run_weight)`` for posted-but-uncollected ingest
-        #: commands.  Reconciled lazily against ``backend.pending``
-        #: because any fencing call drains replies behind our back.
-        self._inflight: List[deque] = [deque() for _ in range(num_shards)]
-        self._inflight_runs = 0
-        self._post_seq = 0
-        self.window_stalls = 0
-        self.max_inflight_runs = 0
-        #: run weight of each windowed sub-batch actually posted — the
+        #: run weight of each relaxed sub-batch posted — the
         #: facade-level coalescing figure (runs per command frame)
         self.coalesced_runs = Histogram(SIZE_BUCKETS)
         self.elements_processed = 0
@@ -237,7 +225,7 @@ class ShardedTrackingService:
                 "space_budget_words": space_budget_words,
                 "wal_segment_records": wal_segment_records,
                 "wal_sync": wal_sync,
-                "dispatch_mode": self.dispatch_mode,
+                "dispatch_mode": ledger.mode,
             }
             if checkpoint_dir is not None:
                 shard_dir = self._shard_dir(checkpoint_dir, shard)
@@ -246,7 +234,7 @@ class ShardedTrackingService:
                         "restore_from": shard_dir,
                         "wal_segment_records": wal_segment_records,
                         "wal_sync": wal_sync,
-                        "dispatch_mode": self.dispatch_mode,
+                        "dispatch_mode": ledger.mode,
                     }
                 else:
                     config["checkpoint_dir"] = shard_dir
@@ -259,6 +247,7 @@ class ShardedTrackingService:
             executor,
             [hub_spec(config) for config in configs],
             hub_addresses=hub_addresses,
+            ledger=ledger,
         )
         if _restore:
             self._rebuild_from_shards()
@@ -376,95 +365,17 @@ class ShardedTrackingService:
     @property
     def dispatch_mode(self) -> str:
         """``"lockstep"``, ``"relaxed"`` or ``"windowed"``."""
-        if not self.relaxed:
-            return "lockstep"
-        if self.window is not None or self.per_site_depth is not None:
-            return "windowed"
-        return "relaxed"
+        return self._group.ledger.mode
 
     def dispatch_stats(self) -> dict:
-        """Facade-level dispatch counters, shaped like
-        :meth:`~repro.net.actors.CoordinatorHub.dispatch_stats`."""
-        frames = self.coalesced_runs.count
-        runs = self.coalesced_runs.sum
-        return {
-            "mode": self.dispatch_mode,
-            "window": self.window,
-            "per_site_depth": self.per_site_depth,
-            "frames_posted": frames,
-            "runs_posted": int(runs),
-            "runs_per_frame": (runs / frames) if frames else 0.0,
-            "max_inflight_runs": self.max_inflight_runs,
-            "window_stalls": self.window_stalls,
-        }
+        """Facade-level dispatch counters: the fleet ledger's, the
+        method :meth:`~repro.net.actors.CoordinatorHub.dispatch_stats`
+        answers from (frames and runs count ingest sub-batches only)."""
+        return self._group.ledger.stats()
 
     def inflight_runs(self) -> int:
-        """Runs posted under the window but not yet collected.
-
-        Reconciles the ledger first so a read taken after a fencing
-        call (which drains replies behind the ledger's back) reports 0
-        rather than the stale pre-fence figure."""
-        self._reconcile_inflight()
-        return self._inflight_runs
-
-    def _reconcile_inflight(self) -> None:
-        """Drop ledger entries whose replies a fencing call already
-        drained (oldest first — collections are FIFO per backend)."""
-        for shard, entries in enumerate(self._inflight):
-            pending = self._group.backends[shard].pending
-            while len(entries) > pending:
-                self._inflight_runs -= entries.popleft()[1]
-
-    def _collect_oldest(self) -> bool:
-        """Collect the globally oldest outstanding sub-batch reply;
-        False when nothing is in flight.  Deferred ingest errors from
-        that sub-batch raise here, exactly as they would at a fence."""
-        best = None
-        for shard, entries in enumerate(self._inflight):
-            if entries and (
-                best is None or entries[0][0] < self._inflight[best][0][0]
-            ):
-                best = shard
-        if best is None:
-            return False
-        self._inflight_runs -= self._inflight[best].popleft()[1]
-        self._group.backends[best].collect_one()
-        return True
-
-    def _post_windowed(self, per_shard) -> None:
-        """Credit-based relaxed posting: free the oldest in-flight
-        slot(s) before a post that would exceed ``window`` total runs
-        or ``per_site_depth`` commands on one hub."""
-        self._reconcile_inflight()
-        backends = self._group.backends
-        for shard, (local_ids, shard_items) in enumerate(per_shard):
-            if len(local_ids) == 0:
-                continue
-            weight = _run_count(local_ids) if self.window is not None else 1
-            entries = self._inflight[shard]
-            while self._inflight_runs > 0:
-                if (
-                    self.window is not None
-                    and self._inflight_runs + weight > self.window
-                ):
-                    pass  # over the global run credit — collect one
-                elif (
-                    self.per_site_depth is not None
-                    and len(entries) >= self.per_site_depth
-                ):
-                    pass  # this hub's pipe at depth — collect one
-                else:
-                    break
-                self.window_stalls += 1
-                if not self._collect_oldest():
-                    break
-            backends[shard].submit("ingest", local_ids, shard_items)
-            self._post_seq += 1
-            entries.append((self._post_seq, weight))
-            self._inflight_runs += weight
-            self.coalesced_runs.observe(weight)
-            if self._inflight_runs > self.max_inflight_runs:
-                self.max_inflight_runs = self._inflight_runs
+        """Runs posted under relaxed dispatch but not yet collected."""
+        return self._group.ledger.weight
 
     def ingest(self, site_ids, items=None) -> int:
         """Route one ordered batch across the shard hubs.
@@ -493,18 +404,22 @@ class ShardedTrackingService:
         ):
             if not self.relaxed:
                 total = sum(self._group.map("ingest", per_shard))
-            elif self.window is not None or self.per_site_depth is not None:
+            else:
                 # The router already validated and sized the batch;
                 # counts are known without acks, so posting (under the
-                # in-flight credits) is the whole job.
-                self._post_windowed(per_shard)
-            else:
+                # in-flight credits) is the whole job.  The window
+                # counts runs; with no window a sub-batch weighs 1.
                 for shard, (local_ids, shard_items) in enumerate(per_shard):
                     if len(local_ids) == 0:
                         continue  # no events for this hub: no frame
-                    self._group.backends[shard].submit(
-                        "ingest", local_ids, shard_items
+                    weight = (
+                        _run_count(local_ids) if self.window is not None
+                        else 1
                     )
+                    self._group.post(
+                        shard, weight, "ingest", local_ids, shard_items
+                    )
+                    self.coalesced_runs.observe(weight)
         self.elements_processed += total
         return total
 
