@@ -1,58 +1,22 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-reproduction benches.
 
 Every bench regenerates one artifact of the paper (a Table 1 block, a
 theorem's scaling claim, or Figure 1).  Results are rendered as fixed-
-width tables, printed, and saved under ``benchmarks/results/`` so
-EXPERIMENTS.md can reference the exact numbers produced on this machine.
+width tables, printed, and saved under ``benchmarks/results/``.  System
+performance is measured elsewhere, by ``benchmarks/ladder/``.
 
-Run with:  pytest benchmarks/ --benchmark-only
+Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_*.py
+(pytest only collects ``test_*.py`` from a bare directory argument).
 """
 
 from __future__ import annotations
 
-import datetime
-import json
 import os
 
 from repro.runtime import Simulation
 from repro.analysis import render_table
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-#: machine-readable service-benchmark trajectory, at the repo root so
-#: CI and reviewers can diff perf across PRs without parsing tables
-BENCH_JSON_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_service.json",
-)
-
-
-def save_bench_json(section: str, payload: dict, path: str = None) -> str:
-    """Merge one benchmark's results into ``BENCH_service.json``.
-
-    Each bench owns a top-level ``section`` key; reruns overwrite only
-    their own section, so the file accumulates the full service perf
-    picture (multitenant throughput, persistence costs, ...).
-    """
-    path = BENCH_JSON_PATH if path is None else path
-    document = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as f:
-                document = json.load(f)
-        except ValueError:
-            document = {}
-    payload = dict(payload)
-    payload["updated"] = (
-        datetime.datetime.now(datetime.timezone.utc)
-        .isoformat(timespec="seconds")
-    )
-    document[section] = payload
-    with open(path, "w") as f:
-        json.dump(document, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"[bench] {section} -> {path}")
-    return path
 
 
 def save_table(name: str, headers, rows, title: str) -> str:

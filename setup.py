@@ -34,8 +34,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    # numpy accelerates batched ingestion (run decomposition); the library
-    # degrades gracefully without it, but the service targets it.
+    # numpy is required: run decomposition, shard routing, the WAL's
+    # packed batches and the frame codec's columnar blobs all use it.
     install_requires=["numpy"],
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

@@ -744,19 +744,14 @@ async def _until_stopped() -> None:
     await stop.wait()
 
 
-def run_site(argv) -> int:
-    """The `repro site` subcommand: a TCP site-actor host."""
+def _run_host(argv, name, description, make_host, banner="") -> int:
+    """`repro site` / `repro hub`: serve one TCP actor host until stopped."""
     import asyncio
 
-    from .net.actors import SiteHost
     from .net.transport import TcpTransport
 
     parser = argparse.ArgumentParser(
-        prog="repro site",
-        description=(
-            "Host site actors over TCP; a coordinator hub "
-            "(repro.net.Cluster) connects and spawns its sites here."
-        ),
+        prog=f"repro {name}", description=description
     )
     parser.add_argument(
         "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
@@ -765,8 +760,8 @@ def run_site(argv) -> int:
     args = parser.parse_args(argv)
 
     async def serve() -> None:
-        host = await SiteHost(TcpTransport(), args.listen).start()
-        print(f"site host listening on {host.address}", flush=True)
+        host = await make_host(TcpTransport(), args.listen).start()
+        print(f"{name} host listening on {host.address}{banner}", flush=True)
         try:
             await _until_stopped()
         finally:
@@ -779,57 +774,42 @@ def run_site(argv) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print("site host: shutting down", flush=True)
+    print(f"{name} host: shutting down", flush=True)
     return 0
+
+
+def run_site(argv) -> int:
+    """The `repro site` subcommand: a TCP site-actor host."""
+    from .net.actors import SiteHost
+
+    return _run_host(
+        argv,
+        "site",
+        "Host site actors over TCP; a coordinator hub "
+        "(repro.net.Cluster) connects and spawns its sites here.",
+        SiteHost,
+    )
 
 
 def run_hub(argv) -> int:
     """The `repro hub` subcommand: a TCP shard-hub host (exec host)."""
-    import asyncio
+    import platform
 
+    from . import __version__
     from .exec.remote import ExecHost
-    from .net.transport import TcpTransport
 
-    parser = argparse.ArgumentParser(
-        prog="repro hub",
-        description=(
-            "Host shard-hub workers over TCP; a sharded gateway "
-            "(repro gateway --shard-workers cluster --hub HOST:PORT) "
-            "places its shard hubs here."
+    return _run_host(
+        argv,
+        "hub",
+        "Host shard-hub workers over TCP; a sharded gateway "
+        "(repro gateway --shard-workers cluster --hub HOST:PORT) "
+        "places its shard hubs here.",
+        ExecHost,
+        banner=(
+            f" (repro {__version__}, python {platform.python_version()}, "
+            "dispatch modes: lockstep/relaxed/windowed)"
         ),
     )
-    parser.add_argument(
-        "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="bind address (default 127.0.0.1:0 = ephemeral port)",
-    )
-    args = parser.parse_args(argv)
-
-    async def serve() -> None:
-        import platform
-
-        from . import __version__
-
-        host = await ExecHost(TcpTransport(), args.listen).start()
-        print(
-            f"hub host listening on {host.address} "
-            f"(repro {__version__}, python {platform.python_version()}, "
-            f"dispatch modes: lockstep/relaxed/windowed)",
-            flush=True,
-        )
-        try:
-            await _until_stopped()
-        finally:
-            await host.close()
-
-    try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:
-        pass
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print("hub host: shutting down", flush=True)
-    return 0
 
 
 def run_query(argv) -> int:

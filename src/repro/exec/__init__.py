@@ -14,9 +14,9 @@ loop.  :mod:`repro.exec` is the shared substrate:
   lockstep loop behind ``Simulation.run_batched`` and the batched
   ingest engine), ``coalesce_runs`` and ``CreditWindow`` (the one
   in-flight ledger of relaxed dispatch, on the hub and on the facade).
-* :mod:`repro.exec.workers` — worker kinds and their command tables:
-  ``hub`` (a full :class:`~repro.service.TrackingService`) and ``sim``
-  (one protocol stack), buildable wherever the backend places them.
+* :mod:`repro.exec.workers` — the ``hub`` worker (a full
+  :class:`~repro.service.TrackingService`) and its command table,
+  buildable wherever the backend places it.
 * :mod:`repro.exec.local` — :class:`InprocBackend`,
   :class:`ThreadBackend`, :class:`ProcessBackend`.
 * :mod:`repro.exec.remote` — :class:`ClusterBackend` and

@@ -1,9 +1,8 @@
 """The `ExecBackend` contract and the fan-out group.
 
-An :class:`ExecBackend` hosts exactly **one worker** (a shard hub or a
-protocol stack — see :mod:`repro.exec.workers`) somewhere — in the
-caller's process, on a thread, in a subprocess, or on a remote TCP
-actor — and executes that worker's command table against it.  The core
+An :class:`ExecBackend` hosts exactly **one worker** (a shard hub —
+see :mod:`repro.exec.workers`) somewhere — in the caller's process,
+on a thread, in a subprocess, or on a remote TCP actor — and executes that worker's command table against it.  The core
 is asynchronous-by-construction:
 
 * :meth:`ExecBackend.submit` posts one command without waiting;
@@ -200,8 +199,8 @@ class ExecBackend(abc.ABC):
     def query(self, *args):
         """Run the worker's query command (lockstep).
 
-        Hub workers take ``(name, method, args, kwargs)``; sim workers
-        ``(method, args, kwargs)`` — see :mod:`repro.exec.workers`.
+        Hub workers take ``(name, method, args, kwargs)`` — see
+        :mod:`repro.exec.workers`.
         """
         return self.dispatch_run("query", *args)
 

@@ -17,8 +17,8 @@
   only order relaxed mode promises.  A fine-grained interleaving
   (round-robin: one element per run) collapses from one frame per
   element to one frame per site per window.  Super-run chunks are
-  lifted to typed numpy arrays when numpy is available and the chunk
-  is large homogeneous numerics, so the frame codec packs them via
+  lifted to typed numpy arrays when the chunk is large homogeneous
+  numerics, so the frame codec packs them via
   ``tobytes`` instead of a per-element ``struct.pack`` walk.
 * :class:`CreditWindow` — what is posted to which target and not yet
   completed.  Every pipelined plane (the coordinator hub posting runs
@@ -29,10 +29,9 @@
   all live there.  An entry is removed where its reply is consumed, so
   no reader of the ledger can see a stale figure.
 
-This module is dependency-free on purpose: the runtime, service, shard
-and net layers all import it, so it must not import any of them.
-(numpy is an optional accelerator, import-guarded like everywhere
-else in the repo.)
+This module is dependency-free on purpose (numpy aside): the runtime,
+service, shard and net layers all import it, so it must not import any
+of them.
 """
 
 from __future__ import annotations
@@ -40,10 +39,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, List, Optional, Tuple
 
-try:  # gate: keep the dispatcher importable on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 __all__ = ["drive_runs", "coalesce_runs", "CreditWindow"]
 
@@ -86,7 +82,7 @@ def _columnar(chunk: list):
     walk).  Anything else — small chunks, mixed types, rich payloads,
     ints outside 64 bits — ships as the plain list it already is.
     """
-    if _np is None or len(chunk) < _COLUMNAR_MIN:
+    if len(chunk) < _COLUMNAR_MIN:
         return chunk
     first = chunk[0]
     if type(first) is int:

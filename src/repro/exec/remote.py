@@ -26,13 +26,13 @@ builtin or a service error; anything else degrades to
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import queue
 import threading
 import traceback
 from collections import deque
 from typing import Optional
 
+from ..net.transport import CALL_TIMEOUT, LoopThread, TcpTransport
 from ..obs.metrics import MetricsRegistry
 from ..obs.process import register_process_metrics
 from ..obs.tracing import trace_scope
@@ -40,47 +40,6 @@ from .base import ExecBackend, ExecError, ExecWorkerError
 from .workers import build_worker, close_worker, worker_commands
 
 __all__ = ["ClusterBackend", "ExecHost", "LoopThread"]
-
-#: ceiling for one remote command round trip; a hung host surfaces as
-#: an error instead of a silently stuck caller
-DEFAULT_OP_TIMEOUT = 600.0
-
-
-class LoopThread:
-    """An asyncio event loop on a background thread, driven by blocking
-    callers (the synchronous facade world talking to the async net
-    stack).  Shared by every :class:`ClusterBackend` of one facade."""
-
-    def __init__(self, name: str = "repro-exec-loop"):
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name=name, daemon=True
-        )
-        self._thread.start()
-        self._closed = False
-
-    def call(self, coro, timeout: float = DEFAULT_OP_TIMEOUT):
-        """Run one coroutine on the loop; block for its result."""
-        if self._closed:
-            raise ExecError("loop thread is closed")
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        try:
-            return future.result(timeout)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise ExecWorkerError(
-                f"remote operation timed out after {timeout}s"
-            ) from None
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30)
-        if not self._thread.is_alive():
-            self._loop.close()
-
 
 class ExecHost:
     """Asyncio server hosting exec workers, one per inbound connection.
@@ -149,7 +108,7 @@ class ExecHost:
         def send_threadsafe(obj) -> None:
             future = asyncio.run_coroutine_threadsafe(conn.send(obj), loop)
             try:
-                future.result(DEFAULT_OP_TIMEOUT)
+                future.result(CALL_TIMEOUT)
             except Exception as exc:
                 raise ConnectionError(str(exc)) from exc
 
@@ -292,10 +251,8 @@ class ClusterBackend(ExecBackend):
         spec: dict,
         address: Optional[str] = None,
         loop: Optional[LoopThread] = None,
-        op_timeout: float = DEFAULT_OP_TIMEOUT,
     ):
         super().__init__(spec)
-        self.op_timeout = op_timeout
         self._own_loop = loop is None
         self._loop = loop if loop is not None else LoopThread()
         self._own_host = None
@@ -303,8 +260,6 @@ class ClusterBackend(ExecBackend):
         self._closed = False
         self._send_failures: deque = deque()
         try:
-            from ..net.transport import TcpTransport
-
             self._transport = TcpTransport()
             if address is None:
                 self._own_host = self._loop.call(
@@ -331,10 +286,10 @@ class ClusterBackend(ExecBackend):
     # -- framed plumbing ---------------------------------------------------
 
     def _send(self, frame: dict) -> None:
-        self._loop.call(self._conn.send(frame), timeout=self.op_timeout)
+        self._loop.call(self._conn.send(frame))
 
     def _recv(self) -> dict:
-        frame = self._loop.call(self._conn.recv(), timeout=self.op_timeout)
+        frame = self._loop.call(self._conn.recv())
         if frame is None:
             raise ExecWorkerError(
                 f"hub host {self.address} closed the connection"

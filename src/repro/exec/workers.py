@@ -1,20 +1,14 @@
-"""Worker kinds and their command tables.
+"""The hub worker and its command table.
 
 A *worker* is the stateful object an :class:`~repro.exec.ExecBackend`
 hosts; a *command table* maps operation names to plain functions
 ``fn(worker, *args)`` that run wherever the worker lives (the caller's
-process, a subprocess, a ``repro hub`` actor).  Two kinds exist:
+process, a subprocess, a ``repro hub`` actor).  One kind exists:
 
 ``hub``
     One full :class:`~repro.service.TrackingService` — engine, per-job
     ledgers, optional WAL+snapshot bundle.  This is the shard hub the
-    sharded service places N of; its command table is the one the old
-    ``repro.shard.workers`` module owned.
-``sim``
-    One bare protocol stack (:class:`~repro.runtime.Simulation`): one
-    scheme, ``k`` sites, the exact transcript semantics of the paper.
-    Lets the conformance suite pin that the *same* seeded protocol run
-    answers identically however it is placed.
+    sharded service places N of.
 
 Specs are plain dicts — ``{"kind": ..., "config": {...}}`` — so they
 cross process boundaries by pickle and TCP boundaries through the
@@ -29,18 +23,15 @@ from .base import ExecError
 
 __all__ = [
     "HUB_KIND",
-    "SIM_KIND",
     "build_worker",
     "close_worker",
     "worker_commands",
     "restore_spec",
     "hub_spec",
     "hub_stats",
-    "sim_spec",
 ]
 
 HUB_KIND = "hub"
-SIM_KIND = "sim"
 
 
 def hub_spec(config: dict) -> dict:
@@ -48,52 +39,37 @@ def hub_spec(config: dict) -> dict:
     return {"kind": HUB_KIND, "config": dict(config)}
 
 
-def sim_spec(config: dict) -> dict:
-    """A sim-worker spec from a :class:`Simulation` config dict."""
-    return {"kind": SIM_KIND, "config": dict(config)}
+def _hub_config(spec: dict) -> dict:
+    """A spec's config dict; an unknown ``kind`` is an :class:`ExecError`."""
+    if spec.get("kind", HUB_KIND) != HUB_KIND:
+        raise ExecError(f"unknown worker kind {spec.get('kind')!r}")
+    return dict(spec.get("config") or {})
 
 
 def build_worker(spec: dict):
     """Build the worker a spec describes (runs on the worker's side)."""
-    kind = spec.get("kind", HUB_KIND)
-    config = dict(spec.get("config") or {})
-    if kind == HUB_KIND:
-        return _build_hub(config)
-    if kind == SIM_KIND:
-        return _build_sim(config)
-    raise ExecError(f"unknown worker kind {spec.get('kind')!r}")
+    return _build_hub(_hub_config(spec))
 
 
 def worker_commands(spec: dict) -> dict:
     """The command table for a spec's worker kind."""
-    kind = spec.get("kind", HUB_KIND)
-    if kind == HUB_KIND:
-        return HUB_COMMANDS
-    if kind == SIM_KIND:
-        return SIM_COMMANDS
-    raise ExecError(f"unknown worker kind {spec.get('kind')!r}")
+    _hub_config(spec)
+    return HUB_COMMANDS
 
 
 def close_worker(worker) -> None:
-    """Release a worker's resources (WAL handles); tolerant of kinds."""
-    close = getattr(worker, "close", None)
-    if callable(close):
-        close()
+    """Release a worker's resources (WAL handles)."""
+    worker.close()
 
 
 def restore_spec(spec: dict) -> dict:
     """The spec that rebuilds a worker from its durable source.
 
     Hub workers with a ``checkpoint_dir`` (or already built via
-    ``restore_from``) recover from their bundle; anything else has no
+    ``restore_from``) recover from their bundle; one without has no
     durable source and raises :class:`ExecError`.
     """
-    kind = spec.get("kind", HUB_KIND)
-    config = dict(spec.get("config") or {})
-    if kind != HUB_KIND:
-        raise ExecError(
-            f"{kind!r} workers have no durable source to restore from"
-        )
+    config = _hub_config(spec)
     source = config.get("restore_from") or config.get("checkpoint_dir")
     if not source:
         raise ExecError(
@@ -102,7 +78,6 @@ def restore_spec(spec: dict) -> dict:
     return hub_spec(
         {
             "restore_from": source,
-            "wal_segment_records": config.get("wal_segment_records", 4096),
             "wal_sync": config.get("wal_sync", False),
         }
     )
@@ -122,7 +97,6 @@ def _build_hub(config: dict):
     if config.get("restore_from"):
         service = TrackingService.restore(
             config["restore_from"],
-            wal_segment_records=config.get("wal_segment_records", 4096),
             wal_sync=config.get("wal_sync", False),
         )
     else:
@@ -304,86 +278,3 @@ HUB_COMMANDS = {
     "crash": _hub_crash,
 }
 HUB_COMMANDS["multi"] = _make_multi(HUB_COMMANDS)
-
-
-# -- sim workers -----------------------------------------------------------
-
-
-def _build_sim(config: dict):
-    from ..runtime import Simulation  # deferred: runtime layer
-
-    return Simulation(
-        config["scheme"],
-        config["num_sites"],
-        seed=config.get("seed", 0),
-        one_way=config.get("one_way", False),
-        space_sample_interval=config.get("space_sample_interval", 64),
-        uplink_drop_rate=config.get("uplink_drop_rate", 0.0),
-    )
-
-
-def _sim_ingest(sim, site_ids, items):
-    if site_ids is None or len(site_ids) == 0:
-        return 0
-    before = sim.elements_processed
-    sim.run_batched(site_ids, items)
-    return sim.elements_processed - before
-
-
-def _sim_query(sim, method, args, kwargs):
-    from ..service.job import resolve_query  # deferred: service layer
-
-    fn = resolve_query(sim.coordinator, method)
-    return fn.__name__, fn(*args, **kwargs)
-
-
-def _sim_summary(sim):
-    return sim.summary()
-
-
-def _sim_elements(sim):
-    return sim.elements_processed
-
-
-def _sim_checkpoint(sim):
-    """Snapshot the full protocol stack (one codec scope, like a job)."""
-    from ..persistence.codec import StateEncoder  # deferred: cycle
-
-    encoder = StateEncoder()
-    return {
-        "elements_processed": sim.elements_processed,
-        "scheme": encoder.encode(sim.scheme),
-        "network": encoder.encode(sim.network),
-        "coordinator": encoder.encode(sim.coordinator),
-        "sites": encoder.encode(sim.sites),
-        "space": encoder.encode(sim.space),
-    }
-
-
-def _sim_load_state(sim, state):
-    """Merge a :func:`_sim_checkpoint` bundle into a fresh stack."""
-    from ..persistence.codec import StateDecoder  # deferred: cycle
-
-    decoder = StateDecoder()
-    sim.elements_processed = state["elements_processed"]
-    for attr in ("scheme", "network", "coordinator"):
-        decoder.merge(getattr(sim, attr), state[attr])
-    sim.sites = decoder.merge(sim.sites, state["sites"])
-    sim.space = decoder.merge(sim.space, state["space"])
-    return True
-
-
-def _sim_ping(sim):
-    return True
-
-
-SIM_COMMANDS = {
-    "ingest": _sim_ingest,
-    "query": _sim_query,
-    "summary": _sim_summary,
-    "elements": _sim_elements,
-    "checkpoint": _sim_checkpoint,
-    "load_state": _sim_load_state,
-    "ping": _sim_ping,
-}
-SIM_COMMANDS["multi"] = _make_multi(SIM_COMMANDS)

@@ -20,9 +20,6 @@ identical to a run that never failed.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
-import threading
 from typing import Optional
 
 from ..persistence.codec import decode_value
@@ -31,13 +28,9 @@ from ..persistence.snapshot import latest_snapshot
 from ..persistence.wal import REC_BATCH
 from ..runtime.batching import batch_from_stream
 from .actors import CoordinatorHub, NetError, SiteHost
-from .transport import LoopbackTransport, TcpTransport
+from .transport import LoopbackTransport, LoopThread, TcpTransport
 
 __all__ = ["Cluster", "restore_cluster"]
-
-#: generous ceiling for one cross-thread runtime call; a hung actor
-#: surfaces as an error instead of a silently stuck test suite
-DEFAULT_OP_TIMEOUT = 600.0
 
 
 def _make_transport(kind: str):
@@ -45,13 +38,7 @@ def _make_transport(kind: str):
         return LoopbackTransport()
     if kind == "tcp":
         return TcpTransport()
-    if kind == "tcp-json":
-        # Legacy all-JSON frames; kept for the byte-volume comparison in
-        # bench_net (binary payload envelope vs JSON-only encoding).
-        return TcpTransport(binary=False)
-    raise ValueError(
-        f"unknown transport {kind!r} (loopback, tcp or tcp-json)"
-    )
+    raise ValueError(f"unknown transport {kind!r} (loopback or tcp)")
 
 
 class Cluster:
@@ -110,30 +97,21 @@ class Cluster:
         transport: str = "loopback",
         site_addresses=None,
         checkpoint_dir: Optional[str] = None,
-        wal_segment_records: int = 4096,
         wal_sync: bool = False,
         record_transcript: bool = True,
-        op_timeout: float = DEFAULT_OP_TIMEOUT,
         relaxed: bool = False,
         window: Optional[int] = None,
         per_site_depth: Optional[int] = None,
         _restore_state: Optional[dict] = None,
     ):
         self.transport_kind = transport
-        self.op_timeout = op_timeout
         self.relaxed = bool(relaxed)
         self._host: Optional[SiteHost] = None
         self._manager: Optional[CheckpointManager] = None
         self._wal = None
         self._wal_seq = -1
         self._replaying = False
-        self._closed = False
-
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-cluster-loop", daemon=True
-        )
-        self._thread.start()
+        self._loop = LoopThread("repro-cluster-loop")
         try:
             self.hub = CoordinatorHub(
                 scheme,
@@ -146,13 +124,9 @@ class Cluster:
                 window=window,
                 per_site_depth=per_site_depth,
             )
-            self._call(self._start(site_addresses, _restore_state))
+            self._loop.call(self._start(site_addresses, _restore_state))
             if checkpoint_dir is not None:
-                manager = CheckpointManager(
-                    checkpoint_dir,
-                    segment_records=wal_segment_records,
-                    sync=wal_sync,
-                )
+                manager = CheckpointManager(checkpoint_dir, sync=wal_sync)
                 if manager.has_data():
                     manager.close()
                     raise ValueError(
@@ -162,7 +136,7 @@ class Cluster:
                 self._attach_checkpoints(manager)
                 self.checkpoint()
         except BaseException:
-            self._shutdown_loop()
+            self._loop.close()
             raise
 
     async def _start(self, site_addresses, restore_state) -> None:
@@ -185,19 +159,6 @@ class Cluster:
         if restore_state is not None:
             self.hub.load_hub_state(restore_state)
 
-    # -- cross-thread plumbing --------------------------------------------
-
-    def _call(self, coro):
-        """Run one coroutine on the cluster loop; block for the result."""
-        if self._closed:
-            raise RuntimeError("cluster is closed")
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        try:
-            return future.result(self.op_timeout)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise
-
     # -- driving -----------------------------------------------------------
 
     def ingest(self, site_ids, items=None) -> int:
@@ -215,7 +176,7 @@ class Cluster:
         if self._wal is not None and not self._replaying:
             self._wal_seq = self._wal.append_batch(site_ids, items)
         try:
-            return self._call(self.hub.ingest(site_ids, items))
+            return self._loop.call(self.hub.ingest(site_ids, items))
         except BaseException:
             if self._wal is not None and not self._replaying:
                 self._wal.rollback_last()
@@ -243,7 +204,7 @@ class Cluster:
 
     def query(self, method: Optional[str] = None, *args, **kwargs):
         """Run a coordinator query (``None`` = the default query)."""
-        return self._call(self.hub.query(method, *args, **kwargs))
+        return self._loop.call(self.hub.query(method, *args, **kwargs))
 
     @property
     def comm(self):
@@ -293,7 +254,7 @@ class Cluster:
             raise RuntimeError(
                 "no checkpoint_dir configured; pass checkpoint_dir= to Cluster"
             )
-        state = self._call(self.hub.snapshot_state())
+        state = self._loop.call(self.hub.snapshot_state())
         state["wal_seq"] = self._wal_seq
         return self._manager.save_state(state)
 
@@ -311,9 +272,7 @@ class Cluster:
         checkpoint_dir: str,
         transport: str = "loopback",
         site_addresses=None,
-        wal_segment_records: int = 4096,
         wal_sync: bool = False,
-        op_timeout: float = DEFAULT_OP_TIMEOUT,
     ) -> "Cluster":
         """Rebuild a cluster from its checkpoint directory.
 
@@ -326,9 +285,7 @@ class Cluster:
             checkpoint_dir,
             transport=transport,
             site_addresses=site_addresses,
-            wal_segment_records=wal_segment_records,
             wal_sync=wal_sync,
-            op_timeout=op_timeout,
         )
 
     # -- failure injection -------------------------------------------------
@@ -336,7 +293,7 @@ class Cluster:
     def kill_site(self, site_id: int) -> None:
         """Abruptly kill one site actor; later runs to it raise
         :class:`SiteUnavailableError` until the cluster is restored."""
-        self._call(self.hub.kill_site(site_id))
+        self._loop.call(self.hub.kill_site(site_id))
 
     @property
     def dead_sites(self) -> set:
@@ -346,25 +303,18 @@ class Cluster:
 
     def close(self) -> None:
         """Stop actors, close transports, release the WAL handle."""
-        if self._closed:
+        if self._loop.closed:
             return
         try:
-            self._call(self.hub.close())
+            self._loop.call(self.hub.close())
             if self._host is not None:
-                self._call(self._host.close())
+                self._loop.call(self._host.close())
         except (NetError, ConnectionError, RuntimeError):
             pass
         finally:
-            self._shutdown_loop()
+            self._loop.close()
             if self._manager is not None:
                 self._manager.close()
-
-    def _shutdown_loop(self) -> None:
-        self._closed = True
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30)
-        if not self._thread.is_alive():
-            self._loop.close()
 
     def __enter__(self):
         return self
@@ -387,9 +337,7 @@ def restore_cluster(
     checkpoint_dir: str,
     transport: str = "loopback",
     site_addresses=None,
-    wal_segment_records: int = 4096,
     wal_sync: bool = False,
-    op_timeout: float = DEFAULT_OP_TIMEOUT,
 ) -> Cluster:
     """Recover a :class:`Cluster` from disk (newest bundle + WAL tail)."""
     state = latest_snapshot(checkpoint_dir)
@@ -411,14 +359,9 @@ def restore_cluster(
         uplink_drop_rate=config["uplink_drop_rate"],
         transport=transport,
         site_addresses=site_addresses,
-        op_timeout=op_timeout,
         _restore_state=state,
     )
-    manager = CheckpointManager(
-        checkpoint_dir,
-        segment_records=wal_segment_records,
-        sync=wal_sync,
-    )
+    manager = CheckpointManager(checkpoint_dir, sync=wal_sync)
     after_seq = state.get("wal_seq", -1)
     manager.wal.ensure_seq_floor(after_seq)
     cluster._attach_checkpoints(manager)

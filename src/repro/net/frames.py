@@ -15,11 +15,12 @@ Failure modes are explicit:
   checking :attr:`FrameDecoder.pending_bytes` (or calling
   :meth:`FrameDecoder.finish`) at EOF.
 
-On top of raw frames, :func:`encode_json_frame` / :func:`decode_json`
-carry the runtime's JSON control messages (compact separators, UTF-8).
+On top of raw frames, :func:`encode_payload` / :func:`decode_payload`
+carry the runtime's messages: one codec per boundary.
 
-**Binary payloads.**  Control frames stay JSON, but the bulky payloads —
-run chunks and shipped summaries — are mostly long homogeneous number
+**Binary payloads.**  Control frames stay JSON (compact separators,
+UTF-8), but the bulky payloads — run chunks and shipped summaries —
+are mostly long homogeneous number
 lists, which JSON (and the WAL's base64 packed-int codec) render at
 2-4x their raw size.  :func:`encode_payload` walks an object, lifts
 every long all-int / all-float list out into a raw little-endian typed
@@ -31,7 +32,7 @@ where the header is the original object with each lifted list replaced
 by a ``{"__wblob__": [index, dtype]}`` placeholder.  Objects with no
 packable lists encode as plain JSON (UTF-8 never begins with ``0xF5``,
 so :func:`decode_payload` distinguishes the two without out-of-band
-signalling, and a binary-capable peer interoperates with a JSON one).
+signalling; :func:`decode_json` is the decoder's JSON arm).
 Packing is exact: ints ride as ``i4``/``i8`` (bigger ints stay JSON),
 floats as IEEE ``f8`` — every value round-trips bit-identically, so
 transcript equivalence is untouched.  Columnar super-run chunks (typed
@@ -46,10 +47,7 @@ import json
 import struct
 from typing import List, Optional, Tuple
 
-try:  # optional accelerator: columnar chunks arrive as typed arrays
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 __all__ = [
     "DEFAULT_MAX_FRAME",
@@ -59,7 +57,6 @@ __all__ = [
     "TornFrameError",
     "FrameDecoder",
     "encode_frame",
-    "encode_json_frame",
     "decode_json",
     "encode_payload",
     "decode_payload",
@@ -151,12 +148,6 @@ class FrameDecoder:
             raise TornFrameError(
                 f"stream ended mid-frame with {pending} buffered byte(s)"
             )
-
-
-def encode_json_frame(obj, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
-    """One JSON control message as a complete frame."""
-    payload = json.dumps(obj, separators=(",", ":")).encode()
-    return encode_frame(payload, max_frame)
 
 
 def decode_json(payload: bytes):
@@ -276,7 +267,7 @@ def _pack_ndarray(arr, blobs: List[bytes]) -> Optional[dict]:
 
 
 def _pack_walk(obj, blobs: List[bytes]):
-    if _np is not None and isinstance(obj, _np.ndarray):
+    if isinstance(obj, _np.ndarray):
         packed = _pack_ndarray(obj, blobs)
         if packed is not None:
             return packed

@@ -104,6 +104,7 @@ from ..service import ServiceError, TrackingService
 from ..service.async_ingest import AsyncBatchIngestor
 from ..service.errors import DuplicateJobError, UnknownJobError
 from ..service.jobspec import parse_job_spec, parse_query_literal
+from .transport import LoopThread
 
 __all__ = ["Gateway", "GatewayThread", "TokenBucket", "jsonable"]
 
@@ -1569,20 +1570,13 @@ class GatewayThread:
         self.service = service
         self.gateway_kwargs = gateway_kwargs
         self.gateway: Optional[Gateway] = None
-        self._loop = None
-        self._thread = None
+        self._loop: Optional[LoopThread] = None
 
     def __enter__(self) -> "GatewayThread":
-        import threading
-
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-gateway", daemon=True
+        self._loop = LoopThread("repro-gateway")
+        self.gateway = self._loop.call(
+            Gateway(self.service, **self.gateway_kwargs).start(), timeout=60
         )
-        self._thread.start()
-        self.gateway = asyncio.run_coroutine_threadsafe(
-            Gateway(self.service, **self.gateway_kwargs).start(), self._loop
-        ).result(60)
         return self
 
     @property
@@ -1590,10 +1584,5 @@ class GatewayThread:
         return self.gateway.url
 
     def __exit__(self, *exc) -> None:
-        asyncio.run_coroutine_threadsafe(
-            self.gateway.close(), self._loop
-        ).result(60)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30)
-        if not self._thread.is_alive():
-            self._loop.close()
+        self._loop.call(self.gateway.close(), timeout=60)
+        self._loop.close()

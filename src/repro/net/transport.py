@@ -1,6 +1,6 @@
 """Pluggable actor transports: in-process loopback and framed TCP.
 
-A *transport* moves JSON control messages between actors.  Both
+A *transport* moves whole messages between actors.  Both
 implementations expose the same tiny surface so the runtime is wired
 identically in tests and in production:
 
@@ -19,31 +19,31 @@ tests and the loopback side of the benchmarks.  :class:`TcpTransport`
 carries the same messages as length-prefixed frames
 (:mod:`repro.net.frames`) over asyncio TCP streams: JSON for control
 traffic, the binary payload envelope for frames with numeric bulk (run
-chunks, shipped summaries) — pass ``binary=False`` to force the legacy
-all-JSON encoding (the byte-volume comparison in ``bench_net``).
-Addresses are ``"host:port"`` strings (port 0 binds an ephemeral port;
-the listener reports the bound address).  Per-transport byte counters
+chunks, shipped summaries).  Addresses are ``"host:port"`` strings
+(port 0 binds an ephemeral port; the listener reports the bound
+address).  Per-transport byte counters
 (:attr:`TcpTransport.stats`) aggregate the framed traffic of every
 connection the instance created.
+
+:class:`LoopThread` is how the synchronous world drives either one: an
+event loop on a background thread that blocking callers hand coroutines
+to (the cluster facade, the remote exec backends, the in-process
+gateway).
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import threading
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict
 
-from .frames import (
-    DEFAULT_MAX_FRAME,
-    FrameDecoder,
-    decode_payload,
-    encode_frame,
-    encode_json_frame,
-    encode_payload,
-)
+from .frames import FrameDecoder, decode_payload, encode_frame, encode_payload
 
 __all__ = [
     "ConnectionClosedError",
+    "LoopThread",
     "LoopbackTransport",
     "TcpTransport",
     "parse_address",
@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 _EOF = object()
+
+#: generous ceiling for one cross-thread call; a hung peer surfaces as
+#: an error instead of a silently stuck caller
+CALL_TIMEOUT = 600.0
 
 
 class ConnectionClosedError(ConnectionError):
@@ -75,6 +79,43 @@ def parse_address(address: str):
 
 def format_address(host: str, port: int) -> str:
     return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+
+
+class LoopThread:
+    """An asyncio event loop on a background thread, driven by blocking
+    callers (the synchronous facade world talking to the async net
+    stack)."""
+
+    def __init__(self, name: str = "repro-loop"):
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name=name, daemon=True
+        )
+        self._thread.start()
+        self.closed = False
+
+    def call(self, coro, timeout: float = CALL_TIMEOUT):
+        """Run one coroutine on the loop; block for its result."""
+        if self.closed:
+            coro.close()  # never scheduled: no "never awaited" warning
+            raise RuntimeError(f"{self._thread.name} is closed")
+        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
+        try:
+            return future.result(timeout)
+        except concurrent.futures.TimeoutError:
+            future.cancel()
+            raise TimeoutError(
+                f"operation on {self._thread.name} timed out after {timeout}s"
+            ) from None
+
+    def close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=30)
+        if not self._thread.is_alive():
+            self._loop.close()
 
 
 class _LoopbackConnection:
@@ -180,31 +221,19 @@ class LoopbackTransport:
 class _TcpConnection:
     """Framed messages over one asyncio TCP stream."""
 
-    def __init__(
-        self,
-        reader,
-        writer,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        binary: bool = True,
-        stats: Optional[dict] = None,
-    ):
+    def __init__(self, reader, writer, stats: dict):
         self._reader = reader
         self._writer = writer
-        self._decoder = FrameDecoder(max_frame)
+        self._decoder = FrameDecoder()
         self._pending = deque()
-        self._max_frame = max_frame
-        self._binary = binary
-        self._stats = stats if stats is not None else _fresh_stats()
+        self._stats = stats
         self._closed = False
 
     async def send(self, obj) -> None:
         if self._closed:
             raise ConnectionClosedError("TCP connection is closed")
         try:
-            if self._binary:
-                frame = encode_frame(encode_payload(obj), self._max_frame)
-            else:
-                frame = encode_json_frame(obj, self._max_frame)
+            frame = encode_frame(encode_payload(obj))
             self._stats["bytes_sent"] += len(frame)
             self._stats["frames_sent"] += 1
             self._writer.write(frame)
@@ -220,9 +249,7 @@ class _TcpConnection:
         bytes to the loop thread via :meth:`write_frame_nowait`, so the
         loop callback does nothing but a buffered ``write``.
         """
-        if self._binary:
-            return encode_frame(encode_payload(obj), self._max_frame)
-        return encode_json_frame(obj, self._max_frame)
+        return encode_frame(encode_payload(obj))
 
     def write_frame_nowait(self, frame: bytes) -> None:
         """Write pre-encoded frame bytes without draining (loop thread).
@@ -261,8 +288,6 @@ class _TcpConnection:
             self._pending.extend(self._decoder.feed(data))
         payload = self._pending.popleft()
         self._stats["frames_received"] += 1
-        # decode_payload auto-detects binary vs JSON, so either peer
-        # encoding is accepted regardless of this side's send mode.
         return decode_payload(payload)
 
     async def close(self) -> None:
@@ -296,26 +321,19 @@ def _fresh_stats() -> dict:
 class TcpTransport:
     """Length-prefixed-frame TCP transport (asyncio streams).
 
-    ``binary=True`` (default) sends the binary payload envelope —
-    numeric bulk as raw typed blobs; ``binary=False`` forces the legacy
-    all-JSON frames.  :attr:`stats` aggregates framed byte/frame counts
-    over every connection this transport instance created (both sides,
-    for listeners it spawned).
+    :attr:`stats` aggregates framed byte/frame counts over every
+    connection this transport instance created (both sides, for
+    listeners it spawned).
     """
 
-    def __init__(self, max_frame: int = DEFAULT_MAX_FRAME,
-                 binary: bool = True):
-        self.max_frame = max_frame
-        self.binary = binary
+    def __init__(self):
         self.stats = _fresh_stats()
 
     async def listen(self, address: str, handler) -> _TcpListener:
         host, port = parse_address(address)
 
         async def _serve(reader, writer):
-            conn = _TcpConnection(
-                reader, writer, self.max_frame, self.binary, self.stats
-            )
+            conn = _TcpConnection(reader, writer, self.stats)
             try:
                 await handler(conn)
             finally:
@@ -333,6 +351,4 @@ class TcpTransport:
             raise ConnectionClosedError(
                 f"cannot connect to {address}: {exc}"
             ) from exc
-        return _TcpConnection(
-            reader, writer, self.max_frame, self.binary, self.stats
-        )
+        return _TcpConnection(reader, writer, self.stats)

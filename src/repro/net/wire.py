@@ -19,14 +19,11 @@ Two payload families cross the distributed runtime's wire:
 
 from __future__ import annotations
 
+import numpy as _np
+
 from ..persistence.codec import decode_value, encode_value
 from ..persistence.wal import _SCALAR_TYPES, decode_items
 from ..runtime.protocol import Message
-
-try:  # optional accelerator: columnar super-run chunks ride as arrays
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "encode_message",
@@ -66,7 +63,7 @@ def encode_chunk(items) -> dict:
     walk.  :func:`decode_chunk` normalizes arrays back to plain lists,
     so sites see identical values on every transport.
     """
-    if _np is not None and isinstance(items, _np.ndarray):
+    if isinstance(items, _np.ndarray):
         kind = items.dtype.kind
         if kind in "iu":
             if items.size and bool((items == 1).all()):
@@ -93,8 +90,8 @@ def encode_chunk(items) -> dict:
 
 
 def decode_chunk(obj: dict) -> list:
-    """Inverse of :func:`encode_chunk` (also reads the pre-binary
-    base64 packed-int layout, flagged by a ``coded`` field)."""
+    """Inverse of :func:`encode_chunk` (a ``coded`` field marks rich
+    items that went through the snapshot codec)."""
     if "unit" in obj:
         return [1] * obj["unit"]
     if "coded" in obj:
@@ -102,7 +99,7 @@ def decode_chunk(obj: dict) -> list:
     items = obj["items"]
     if isinstance(items, list):
         return items
-    if _np is not None and isinstance(items, _np.ndarray):
+    if isinstance(items, _np.ndarray):
         # tolist() yields native Python scalars — schemes never see
         # numpy types, and loopback (no serialization) matches TCP.
         return items.tolist()

@@ -138,7 +138,6 @@ class FleetMonitor:
         recovery_polls: int = 2,
         clock: Callable[[], float] = time.monotonic,
         spans: Optional[SpanRecorder] = None,
-        on_event: Optional[Callable[[dict], None]] = None,
         on_round: Optional[Callable[[], None]] = None,
     ) -> None:
         if interval <= 0:
@@ -154,7 +153,6 @@ class FleetMonitor:
         self.recovery_polls = int(recovery_polls)
         self._clock = clock
         self.spans = spans if spans is not None else SpanRecorder()
-        self._on_event = on_event
         self._on_round = on_round
         self._hubs = [_HubState(t) for t in targets]
         self._lock = threading.Lock()
@@ -302,11 +300,6 @@ class FleetMonitor:
         self._events.append(record)
         name = record["event"]
         self._event_counts[name] = self._event_counts.get(name, 0) + 1
-        if self._on_event is not None:
-            try:
-                self._on_event(dict(record))
-            except Exception:  # pragma: no cover
-                pass
 
     # -- read surfaces -----------------------------------------------------
 

@@ -44,15 +44,11 @@ _WAL_SUBDIR = "wal"
 class CheckpointManager:
     """Snapshot files plus the write-ahead log under one directory."""
 
-    def __init__(self, directory: str, segment_records: int = 4096,
-                 sync: bool = False, keep_snapshots: int = 2):
+    def __init__(self, directory: str, sync: bool = False):
         self.directory = directory
-        self.keep_snapshots = max(1, keep_snapshots)
         os.makedirs(directory, exist_ok=True)
         self.wal = WriteAheadLog(
-            os.path.join(directory, _WAL_SUBDIR),
-            segment_records=segment_records,
-            sync=sync,
+            os.path.join(directory, _WAL_SUBDIR), sync=sync
         )
 
     def has_data(self) -> bool:
@@ -76,7 +72,7 @@ class CheckpointManager:
         """
         path = write_snapshot(self.directory, state)
         self.wal.truncate_through(state["wal_seq"])
-        prune_snapshots(self.directory, self.keep_snapshots)
+        prune_snapshots(self.directory)
         return path
 
     def close(self) -> None:
@@ -115,8 +111,7 @@ def replay_into(service, manager: CheckpointManager, after_seq: int) -> int:
     return applied
 
 
-def restore_service(directory: str, segment_records: int = 4096,
-                    sync: bool = False, keep_snapshots: int = 2):
+def restore_service(directory: str, sync: bool = False):
     """Rebuild a :class:`~repro.service.TrackingService` from disk.
 
     Loads the newest snapshot under ``directory``, replays the WAL tail,
@@ -134,12 +129,7 @@ def restore_service(directory: str, segment_records: int = 4096,
         raise FileNotFoundError(
             f"no snapshot under {directory!r}; nothing to restore"
         )
-    manager = CheckpointManager(
-        directory,
-        segment_records=segment_records,
-        sync=sync,
-        keep_snapshots=keep_snapshots,
-    )
+    manager = CheckpointManager(directory, sync=sync)
     # A fully truncated WAL carries no sequence history; re-anchor it at
     # the snapshot's position so post-restore records stay monotonic.
     manager.wal.ensure_seq_floor(state.get("wal_seq", -1))

@@ -29,10 +29,7 @@ import json
 import os
 from typing import Iterator, List, Optional, Tuple
 
-try:  # gate: the log must work on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from .codec import _SCALARS as _codec_scalars
 from .codec import decode_value, encode_value
@@ -89,27 +86,21 @@ def encode_int_array(values):
     Shared with the network wire format (:mod:`repro.net.wire`), so
     batches cost the same whether they hit the log or the wire.
     """
-    if _np is not None:
-        try:
-            if isinstance(values, _np.ndarray):
-                if values.size == 0:
-                    return []
-                return _pack_int_array(values)
-            if values:
-                return _pack_int_array(_np.asarray(values, dtype=_np.int64))
-        except (OverflowError, TypeError, ValueError):
-            pass
+    try:
+        if isinstance(values, _np.ndarray):
+            if values.size == 0:
+                return []
+            return _pack_int_array(values)
+        if values:
+            return _pack_int_array(_np.asarray(values, dtype=_np.int64))
+    except (OverflowError, TypeError, ValueError):
+        pass
     return values if isinstance(values, list) else list(values)
 
 
 def decode_int_array(payload) -> list:
     """Inverse of :func:`encode_int_array`; always a list of exact ints."""
     if isinstance(payload, dict):
-        if _np is None:  # pragma: no cover
-            raise WalCorruptionError(
-                "WAL was written with numpy-packed arrays; numpy is "
-                "required to replay it"
-            )
         (tag, blob), = payload.items()
         dtype = _np.int32 if tag == "i4" else _np.int64
         return _np.frombuffer(base64.b64decode(blob), dtype=dtype).tolist()
@@ -130,12 +121,8 @@ def encode_items(items) -> Tuple[Optional[object], bool]:
     types = set(map(type, items))
     if types <= {int}:
         return encode_int_array(items), False
-    if (
-        _np is not None
-        and types
-        and all(
-            t is not bool and issubclass(t, (int, _np.integer)) for t in types
-        )
+    if types and all(
+        t is not bool and issubclass(t, (int, _np.integer)) for t in types
     ):
         # numpy scalars smuggled in a plain list: replay as exact ints
         # (== and hash-equivalent, so transcripts are unaffected).

@@ -13,24 +13,21 @@ which is what makes batched ingestion safe for round-based protocols
 whose behaviour depends on the interleaving across sites.
 
 The decomposition is computed once per batch, so a multi-tenant service
-amortizes it over every registered job.  numpy is used when available
-(boundary detection on arrays is ~100x faster than a Python loop) but is
-not required.
+amortizes it over every registered job.  Array inputs take a numpy path
+(boundary detection on arrays is ~100x faster than a Python loop); list
+inputs keep the loop.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 # The run dispatcher lives on the shared execution plane now
 # (:mod:`repro.exec.dispatch`); re-exported here because the batching
 # module is where every driving layer historically imported it from.
 from ..exec.dispatch import drive_runs
-
-try:  # gate: keep the runtime importable on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["decompose_runs", "batch_from_stream", "drive_runs"]
 
@@ -56,7 +53,7 @@ def _item_list(items, n: int) -> Optional[list]:
     streams, where every element is the unit item ``1``)."""
     if items is None:
         return None
-    if _np is not None and isinstance(items, _np.ndarray):
+    if isinstance(items, _np.ndarray):
         items = items.tolist()
     elif not isinstance(items, list):
         items = list(items)
@@ -86,7 +83,7 @@ def decompose_runs(
     list of ``(site_id, run_items)`` preserving global arrival order;
     concatenating the runs reproduces the input batch exactly.
     """
-    if _np is not None and isinstance(site_ids, _np.ndarray):
+    if isinstance(site_ids, _np.ndarray):
         n = int(site_ids.shape[0])
         if n == 0:
             return []

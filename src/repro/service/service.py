@@ -57,8 +57,8 @@ class TrackingService:
         is written ahead to a segmented WAL under this directory, and
         :meth:`checkpoint` persists full snapshots.  The directory must
         be fresh — resume an existing one with :meth:`restore`.
-    wal_segment_records / wal_sync:
-        WAL tuning (records per segment file; fsync per append).
+    wal_sync:
+        fsync the WAL on every append.
     """
 
     def __init__(
@@ -70,7 +70,6 @@ class TrackingService:
         space_sample_interval: int = 4096,
         space_budget_words: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
-        wal_segment_records: int = 4096,
         wal_sync: bool = False,
     ):
         if num_sites < 1:
@@ -99,11 +98,7 @@ class TrackingService:
         if checkpoint_dir is not None:
             from ..persistence.recovery import CheckpointManager  # cycle
 
-            manager = CheckpointManager(
-                checkpoint_dir,
-                segment_records=wal_segment_records,
-                sync=wal_sync,
-            )
+            manager = CheckpointManager(checkpoint_dir, sync=wal_sync)
             if manager.has_data():
                 manager.close()
                 raise ValueError(
@@ -427,10 +422,7 @@ class TrackingService:
 
     @classmethod
     def restore(
-        cls,
-        checkpoint_dir: str,
-        wal_segment_records: int = 4096,
-        wal_sync: bool = False,
+        cls, checkpoint_dir: str, wal_sync: bool = False
     ) -> "TrackingService":
         """Recover a service from a checkpoint directory.
 
@@ -441,11 +433,7 @@ class TrackingService:
         """
         from ..persistence.recovery import restore_service  # cycle
 
-        return restore_service(
-            checkpoint_dir,
-            segment_records=wal_segment_records,
-            sync=wal_sync,
-        )
+        return restore_service(checkpoint_dir, sync=wal_sync)
 
     def _attach_checkpoints(self, manager) -> None:
         """Adopt a recovery manager (post-construction wiring)."""

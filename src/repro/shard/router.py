@@ -24,10 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-try:  # gate: keep the router importable on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 __all__ = ["ShardRouter"]
 
@@ -75,9 +72,8 @@ class ShardRouter:
         self._shard_of = shard_of
         self._local_of = local_of
         self._members = members
-        if _np is not None:
-            self._shard_lut = _np.asarray(shard_of, dtype=_np.int64)
-            self._local_lut = _np.asarray(local_of, dtype=_np.int64)
+        self._shard_lut = _np.asarray(shard_of, dtype=_np.int64)
+        self._local_lut = _np.asarray(local_of, dtype=_np.int64)
 
     # -- lookups -----------------------------------------------------------
 
@@ -122,64 +118,40 @@ class ShardRouter:
         Raises :class:`ValueError` on any out-of-range site id *before*
         any routing, so a bad batch is rejected atomically.
         """
-        if _np is not None:
-            ids = _np.asarray(site_ids, dtype=_np.int64)
-            n = int(ids.shape[0])
-            if n == 0:
-                return []
-            if int(ids.min()) < 0 or int(ids.max()) >= self.num_sites:
-                bad = int(ids.min()) if int(ids.min()) < 0 else int(ids.max())
-                raise ValueError(
-                    f"site id {bad} out of range [0, {self.num_sites})"
-                )
-            items = self._item_list(items, n)
-            if self.num_shards == 1:
-                return [(0, ids.tolist(), items)]
-            shards = self._shard_lut[ids]
-            out = []
-            for shard in range(self.num_shards):
-                idx = _np.flatnonzero(shards == shard)
-                if idx.shape[0] == 0:
-                    continue
-                sub = ids[idx]
-                local = self._local_lut[sub].tolist()
-                if items is None:
-                    out.append((shard, local, None))
-                else:
-                    index_list = idx.tolist()
-                    out.append(
-                        (shard, local, [items[i] for i in index_list])
-                    )
-            return out
-        return self._split_python(site_ids, items)
-
-    def _split_python(self, site_ids, items):
-        sids = list(site_ids)
-        n = len(sids)
+        ids = _np.asarray(site_ids, dtype=_np.int64)
+        n = int(ids.shape[0])
         if n == 0:
             return []
-        for s in sids:
-            self._checked(s)
-        items = self._item_list(items, n)
-        locals_by_shard: dict = {}
-        items_by_shard: dict = {}
-        for position, site in enumerate(sids):
-            shard = self._shard_of[site]
-            locals_by_shard.setdefault(shard, []).append(
-                self._local_of[site]
+        if int(ids.min()) < 0 or int(ids.max()) >= self.num_sites:
+            bad = int(ids.min()) if int(ids.min()) < 0 else int(ids.max())
+            raise ValueError(
+                f"site id {bad} out of range [0, {self.num_sites})"
             )
-            if items is not None:
-                items_by_shard.setdefault(shard, []).append(items[position])
-        return [
-            (shard, locals_by_shard[shard], items_by_shard.get(shard))
-            for shard in sorted(locals_by_shard)
-        ]
+        items = self._item_list(items, n)
+        if self.num_shards == 1:
+            return [(0, ids.tolist(), items)]
+        shards = self._shard_lut[ids]
+        out = []
+        for shard in range(self.num_shards):
+            idx = _np.flatnonzero(shards == shard)
+            if idx.shape[0] == 0:
+                continue
+            sub = ids[idx]
+            local = self._local_lut[sub].tolist()
+            if items is None:
+                out.append((shard, local, None))
+            else:
+                index_list = idx.tolist()
+                out.append(
+                    (shard, local, [items[i] for i in index_list])
+                )
+        return out
 
     @staticmethod
     def _item_list(items, n: int) -> Optional[list]:
         if items is None:
             return None
-        if _np is not None and isinstance(items, _np.ndarray):
+        if isinstance(items, _np.ndarray):
             items = items.tolist()
         elif not isinstance(items, list):
             items = list(items)

@@ -45,14 +45,11 @@ import os
 import time
 from typing import Dict, Iterable, List, Optional
 
+import numpy as _np
+
 from ..exec import EXECUTORS, make_group
 from ..exec.dispatch import CreditWindow
 from ..exec.workers import hub_spec
-
-try:  # optional accelerator for the windowed run-count scan
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 from ..obs.metrics import DEFAULT_BUCKETS, SIZE_BUCKETS, Histogram
 from ..obs.tracing import SpanRecorder
 from ..runtime import TrackingScheme, derive_seed
@@ -160,7 +157,6 @@ class ShardedTrackingService:
         space_sample_interval: int = 4096,
         space_budget_words: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
-        wal_segment_records: int = 4096,
         wal_sync: bool = False,
         executor: str = "inline",
         hub_addresses: Optional[List[str]] = None,
@@ -203,8 +199,6 @@ class ShardedTrackingService:
         self.merge_candidates = Histogram(SIZE_BUCKETS)
         self.merge_fanouts = Histogram(SIZE_BUCKETS)
         self._checkpoint_dir = checkpoint_dir
-        self._wal_segment_records = wal_segment_records
-        self._wal_sync = wal_sync
         if executor not in EXECUTORS:
             raise ValueError(
                 f"unknown shard executor {executor!r}; choose from "
@@ -223,7 +217,6 @@ class ShardedTrackingService:
                 "uplink_drop_rate": uplink_drop_rate,
                 "space_sample_interval": space_sample_interval,
                 "space_budget_words": space_budget_words,
-                "wal_segment_records": wal_segment_records,
                 "wal_sync": wal_sync,
                 "dispatch_mode": ledger.mode,
             }
@@ -232,7 +225,6 @@ class ShardedTrackingService:
                 if _restore:
                     config = {
                         "restore_from": shard_dir,
-                        "wal_segment_records": wal_segment_records,
                         "wal_sync": wal_sync,
                         "dispatch_mode": ledger.mode,
                     }
@@ -750,7 +742,6 @@ class ShardedTrackingService:
         cls,
         checkpoint_dir: str,
         executor: str = "inline",
-        wal_segment_records: int = 4096,
         wal_sync: bool = False,
         hub_addresses: Optional[List[str]] = None,
         relaxed: bool = False,
@@ -788,7 +779,6 @@ class ShardedTrackingService:
             uplink_drop_rate=manifest["uplink_drop_rate"],
             space_budget_words=manifest["space_budget_words"],
             checkpoint_dir=checkpoint_dir,
-            wal_segment_records=wal_segment_records,
             wal_sync=wal_sync,
             executor=executor,
             hub_addresses=hub_addresses,
@@ -871,12 +861,12 @@ class ShardedTrackingService:
 def _run_count(site_ids) -> int:
     """Number of maximal same-site stretches in one ordered id list —
     the unit the in-flight ``window`` is accounted in (matching the
-    hub-level run decomposition).  Numpy collapses the scan to two
-    vector ops when available."""
+    hub-level run decomposition).  Numpy collapses the scan of a long
+    list to two vector ops."""
     n = len(site_ids)
     if n == 0:
         return 0
-    if _np is not None and n >= 512:
+    if n >= 512:
         try:
             arr = _np.asarray(site_ids)
             if arr.dtype.kind in "iu":

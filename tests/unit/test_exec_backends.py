@@ -16,7 +16,7 @@ from repro import (
     RandomizedCountScheme,
 )
 from repro.exec import EXECUTORS, ExecError, make_backend
-from repro.exec.workers import hub_spec, sim_spec
+from repro.exec.workers import hub_spec
 from repro.obs.tracing import trace_scope
 from repro.service.errors import DuplicateJobError, UnknownJobError
 
@@ -132,59 +132,25 @@ class TestHubConformance:
         backend.close()
 
 
-class TestSimConformance:
-    """The same seeded protocol stack answers identically anywhere."""
+class TestUnknownWorkerKind:
+    """Hub is the one worker kind; anything else fails at construction."""
 
-    def test_identical_protocol_run_across_all_backends(self):
-        answers = {}
-        for executor in EXECUTORS:
-            spec = sim_spec(
-                {
-                    "scheme": DeterministicCountScheme(0.05),
-                    "num_sites": K,
-                    "seed": SEED,
-                }
-            )
-            with make_backend(executor, spec) as backend:
-                assert backend.dispatch_batch(STREAM) == len(STREAM)
-                summary = backend.dispatch_run("summary")
-                answers[executor] = (
-                    backend.query(None, (), {}),
-                    summary["total_messages"],
-                    summary["total_words"],
-                    summary["elements"],
-                )
-        reference = answers["inline"]
-        for executor, got in answers.items():
-            assert got == reference, executor
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    def test_non_hub_kind_rejected_without_leaking_a_worker(self, executor):
+        import multiprocessing
 
-    def test_sim_state_roundtrip_inline(self):
-        spec = sim_spec(
-            {
-                "scheme": RandomizedCountScheme(0.05),
-                "num_sites": K,
-                "seed": SEED,
-            }
-        )
-        with make_backend("inline", spec) as backend:
-            backend.dispatch_batch(STREAM)
-            state = backend.checkpoint()
-            answer = backend.query(None, (), {})
-        with make_backend("inline", spec) as fresh:
-            fresh.dispatch_run("load_state", state)
-            assert fresh.query(None, (), {}) == answer
-
-    def test_sim_workers_are_not_durably_restorable(self):
-        spec = sim_spec(
-            {
+        spec = {
+            "kind": "sim",
+            "config": {
                 "scheme": DeterministicCountScheme(0.05),
                 "num_sites": K,
                 "seed": SEED,
-            }
-        )
-        with make_backend("inline", spec) as backend:
-            with pytest.raises(ExecError):
-                backend.restore()
+            },
+        }
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ExecError, match="unknown worker kind 'sim'"):
+            make_backend(executor, spec)
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestGroupSemantics:

@@ -6,10 +6,12 @@ from repro.net.frames import (
     FrameDecoder,
     FrameError,
     FrameTooLargeError,
+    MIN_PACK,
     TornFrameError,
     decode_json,
+    decode_payload,
     encode_frame,
-    encode_json_frame,
+    encode_payload,
 )
 from repro.net.wire import (
     decode_chunk,
@@ -96,8 +98,9 @@ class TestFrameFailures:
 class TestJsonFrames:
     def test_round_trip(self):
         obj = {"t": "run", "items": [1, 2, 3], "nested": {"a": None}}
-        frames = FrameDecoder().feed(encode_json_frame(obj))
-        assert [decode_json(f) for f in frames] == [obj]
+        frames = FrameDecoder().feed(encode_frame(encode_payload(obj)))
+        assert [decode_json(f) for f in frames] == [obj]  # plain JSON
+        assert [decode_payload(f) for f in frames] == [obj]
 
 
 class TestWireCodec:
@@ -213,6 +216,32 @@ class TestBinaryPayloads:
             decode_payload(payload[:-3])
         with pytest.raises(FrameError):
             decode_payload(payload + b"\x00")
+
+    def test_shipped_rank_summary_matches_its_json_rendering(self):
+        # What a hub ships for a merged read: a snapshot-coded rank
+        # table (int items, float cumulative weights).  The envelope
+        # must hand the receiver exactly what an all-JSON frame would.
+        import json as _json
+
+        from repro import RandomizedRankScheme, Simulation
+        from repro.persistence.codec import decode_value, encode_value
+
+        sim = Simulation(RandomizedRankScheme(0.05), 4, seed=3)
+        sim.run_batched(
+            [i % 4 for i in range(4000)],
+            [(i * 7919) % 100003 for i in range(4000)],
+        )
+        table = sim.coordinator.rank_table()
+        values, weights = table[0], table[1]
+        assert len(values) >= MIN_PACK and type(values[0]) is int
+        assert len(weights) >= MIN_PACK and type(weights[0]) is float
+        reply = {"t": "ok", "result": encode_value(table)}
+        payload = encode_payload(reply)
+        assert payload[0] == 0xF5
+        decoded = self.round_trip(reply)
+        # repr: 1 == 1.0, but an int must not come back a float
+        assert repr(decoded) == repr(_json.loads(_json.dumps(reply)))
+        assert decode_value(decoded["result"]) == table
 
     def test_tcp_vs_json_transport_agree_on_rich_chunks(self):
         # tuples inside a coded chunk survive a JSON rendering (what the

@@ -81,14 +81,33 @@ class TestShardRouter:
         with pytest.raises(ValueError):
             ShardRouter(0, 1)
 
-    def test_numpy_and_python_paths_agree(self):
-        numpy = pytest.importorskip("numpy")
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+    @pytest.mark.parametrize("with_items", [True, False])
+    def test_split_matches_per_event_lookups(self, as_array, with_items):
+        import numpy
+
         router = ShardRouter(12, 4)
-        site_ids = [11, 0, 5, 5, 3, 8, 11, 2]
-        items = list(range(8))
-        fast = router.split(numpy.asarray(site_ids), items)
-        slow = router._split_python(site_ids, items)
-        assert fast == slow
+        site_ids = [11, 0, 5, 5, 3, 8, 11, 2] * 9
+        items = list(range(len(site_ids))) if with_items else None
+        # the oracle never calls split(): one lookup per event
+        expected = {}
+        for position, site in enumerate(site_ids):
+            local, sub = expected.setdefault(router.shard_of(site), ([], []))
+            local.append(router.local_id(site))
+            sub.append(position)
+        want = [
+            (shard, local, sub if with_items else None)
+            for shard, (local, sub) in sorted(expected.items())
+        ]
+        if as_array:
+            got = router.split(
+                numpy.asarray(site_ids),
+                numpy.asarray(items) if with_items else None,
+            )
+        else:
+            got = router.split(site_ids, items)
+        assert got == want
+        assert all(type(v) is int for _, local, _ in got for v in local)
 
 
 class TestShardedServiceSurface:
