@@ -9,6 +9,7 @@ reports it.  The coordinator always holds an ``eps``-approximation of every
 from __future__ import annotations
 
 import math
+import sys
 
 from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
 
@@ -59,6 +60,14 @@ class DeterministicCountSite(Site):
             self.last_sent = last
             self.send(MSG_VALUE, n)
         self.n = end
+
+    @property
+    def n_local(self) -> int:
+        return self.n
+
+    def quiet_horizon(self) -> int:
+        # One-way: the coordinator has nothing to say, ever.
+        return sys.maxsize
 
     def space_words(self) -> int:
         return 2

@@ -23,7 +23,12 @@ from __future__ import annotations
 
 from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
 from ...runtime.rng import coin, derive_rng, geometric_failures
-from ..rounds import GlobalCountTracker, LocalDoubler, report_probability
+from ..rounds import (
+    GlobalCountTracker,
+    LocalDoubler,
+    QuietBetweenDoublings,
+    report_probability,
+)
 
 __all__ = [
     "RandomizedCountScheme",
@@ -37,7 +42,7 @@ MSG_ADJUST = "adjust"  # site -> coord: re-randomized n_bar_i after p halved
 MSG_ROUND = "round"  # coord -> all: new n_bar (starts a new round)
 
 
-class RandomizedCountSite(Site):
+class RandomizedCountSite(QuietBetweenDoublings, Site):
     """Site-side state machine: O(1) words."""
 
     def __init__(self, site_id: int, network: Network, k: int, eps: float, seed: int,
@@ -50,10 +55,6 @@ class RandomizedCountSite(Site):
         self.doubler = LocalDoubler()
         self.p = 1.0  # current report probability (derived from n_bar)
         self.last_sent = 0  # n_bar_i: value of n_i at our last update
-
-    @property
-    def n_local(self) -> int:
-        return self.doubler.n
 
     def on_element(self, item) -> None:
         report = self.doubler.increment()

@@ -33,7 +33,12 @@ import heapq
 from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
 from ...runtime.rng import coin, derive_rng
 from ...sketch.sticky_sampling import StickySampler
-from ..rounds import GlobalCountTracker, LocalDoubler, report_probability
+from ..rounds import (
+    GlobalCountTracker,
+    LocalDoubler,
+    QuietBetweenDoublings,
+    report_probability,
+)
 
 __all__ = [
     "RandomizedFrequencyScheme",
@@ -48,7 +53,7 @@ MSG_SPLIT = "split"  # site -> coord: virtual-site restart notification
 MSG_ROUND = "round"  # coord -> all: new n_bar, round restart
 
 
-class RandomizedFrequencySite(Site):
+class RandomizedFrequencySite(QuietBetweenDoublings, Site):
     """Site-side state: a sticky sampler, O(1/(eps sqrt(k))) words."""
 
     def __init__(self, site_id, network, k, eps, seed, virtual_sites=True,

@@ -28,7 +28,7 @@ from ...persistence.codec import StateCodecError
 from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
 from ...runtime.rng import coin, derive_rng
 from ...sketch.mergeable_quantile import QuantileSketchBuilder
-from ..rounds import GlobalCountTracker, LocalDoubler
+from ..rounds import GlobalCountTracker, LocalDoubler, QuietBetweenDoublings
 from .util import quantile_from_rank_tables, step_table
 
 __all__ = [
@@ -220,7 +220,7 @@ class _ChunkTree:
                 )
 
 
-class RandomizedRankSite(Site):
+class RandomizedRankSite(QuietBetweenDoublings, Site):
     """Site-side state machine of the Section 4 protocol."""
 
     def __init__(self, site_id, network, k, eps, seed, flat=False):

@@ -23,6 +23,7 @@ from ..persistence.codec import PersistableState
 
 __all__ = [
     "LocalDoubler",
+    "QuietBetweenDoublings",
     "GlobalCountTracker",
     "floor_pow2",
     "report_probability",
@@ -63,8 +64,32 @@ class LocalDoubler(PersistableState):
             return self.n
         return None
 
+    def quiet_horizon(self) -> int:
+        """Arrivals :meth:`increment` will still count in silence: the
+        next report fires at ``n = 2 * last_report`` (at once while
+        nothing has been reported)."""
+        return max(0, 2 * self.last_report - self.n - 1)
+
     def space_words(self) -> int:
         return 2
+
+
+class QuietBetweenDoublings:
+    """Site mixin: the doubling report is the only uplink the
+    coordinator ever answers.
+
+    True of all three randomized trackers — every other message kind
+    (probabilistic updates, counter reports, samples, splits, summaries)
+    is absorbed by the coordinator without a word back — so a site whose
+    ``doubler`` is ``m`` arrivals short of its next report can take
+    ``m`` elements unobserved (:meth:`Site.quiet_horizon`)."""
+
+    @property
+    def n_local(self) -> int:
+        return self.doubler.n
+
+    def quiet_horizon(self) -> int:
+        return self.doubler.quiet_horizon()
 
 
 class GlobalCountTracker(PersistableState):

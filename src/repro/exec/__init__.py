@@ -10,7 +10,7 @@ loop.  :mod:`repro.exec` is the shared substrate:
   ``dispatch_batch`` / ``query`` / ``checkpoint`` / ``restore`` /
   ``close`` over a submit/drain core) and :class:`ExecGroup`, the
   failure-safe fan-out used by the sharded service.
-* :mod:`repro.exec.dispatch` — ``drive_runs`` (the in-process
+* :mod:`repro.exec.dispatch` — ``drive_batch`` (the in-process
   lockstep loop behind ``Simulation.run_batched`` and the batched
   ingest engine), ``coalesce_runs`` and ``CreditWindow`` (the one
   in-flight ledger of relaxed dispatch, on the hub and on the facade).
@@ -28,7 +28,7 @@ the service layer.
 """
 
 from .base import EXECUTORS, ExecBackend, ExecError, ExecGroup, ExecWorkerError
-from .dispatch import CreditWindow, drive_runs
+from .dispatch import CreditWindow, drive_batch
 
 __all__ = [
     "EXECUTORS",
@@ -42,7 +42,7 @@ __all__ = [
     "InprocBackend",
     "ProcessBackend",
     "ThreadBackend",
-    "drive_runs",
+    "drive_batch",
     "make_backend",
     "make_group",
 ]

@@ -220,6 +220,7 @@ def hub_stats(service) -> dict:
         "dispatch_mode": getattr(service, "dispatch_mode", "lockstep"),
         "elements": service.elements_processed,
         "rounds": int(service.engine.stats.get("batches", 0)),
+        "site_calls": int(service.engine.stats.get("site_calls", 0)),
         "jobs": jobs,
         "capacity": {
             "used_words": used_total,

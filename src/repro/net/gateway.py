@@ -536,6 +536,11 @@ class Gateway:
             "repro_service_ingest_batches_total",
             "Engine calls (coalesced batches applied).",
         )
+        self.m_engine_site_calls = r.counter(
+            "repro_service_ingest_site_calls_total",
+            "Site on_elements calls the engine made, over all jobs "
+            "(elements * jobs / this = mean slice per call).",
+        )
         self.m_wal_bytes = r.counter(
             "repro_service_wal_bytes_total",
             "Bytes appended to write-ahead logs (0 without durability).",
@@ -683,6 +688,9 @@ class Gateway:
         self.m_service_elements.labels().value = float(sample["elements"])
         self.m_engine_batches.labels().value = float(
             sample["engine"].get("batches", 0)
+        )
+        self.m_engine_site_calls.labels().value = float(
+            sample["engine"].get("site_calls", 0)
         )
         self.m_wal_bytes.labels().value = float(sample["wal_bytes"])
         self.m_wal_records.labels().value = float(sample["wal_records"])

@@ -378,6 +378,7 @@ class FleetMonitor:
             "dispatch_mode": stats.get("dispatch_mode", "lockstep"),
             "elements": stats.get("elements"),
             "rounds": stats.get("rounds"),
+            "site_calls": stats.get("site_calls"),
             "jobs": stats.get("jobs"),
             "capacity": stats.get("capacity"),
             "process": {

@@ -7,10 +7,10 @@ synchronous message delivery, and communication measured in messages and
 words (a broadcast costs ``k`` messages).
 """
 
-from .batching import batch_from_stream, decompose_runs
+from .batching import SiteBatch, batch_from_stream, decompose_runs
 from .coordinator import Coordinator
 from .metrics import CommStats, SpaceStats
-from .network import Network, OneWayViolation
+from .network import HorizonViolation, Network, OneWayViolation
 from .protocol import BROADCAST, DOWNLINK, UPLINK, Message
 from .rng import coin, derive_rng, derive_seed, geometric_failures, trailing_level
 from .scheme import TrackingScheme
@@ -24,6 +24,7 @@ __all__ = [
     "SpaceStats",
     "Network",
     "OneWayViolation",
+    "HorizonViolation",
     "Message",
     "UPLINK",
     "DOWNLINK",
@@ -39,4 +40,5 @@ __all__ = [
     "TranscriptRecorder",
     "Simulation",
     "Site",
+    "SiteBatch",
 ]

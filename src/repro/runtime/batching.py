@@ -1,35 +1,46 @@
-"""Order-preserving batch decomposition for the ingestion fast path.
+"""Batch views for the ingestion fast path: stretches and runs.
 
 The per-event driving loop (`Simulation.process`) pays Python call
-overhead and space-ledger bookkeeping on every element.  The batched path
-instead splits an ordered batch of ``(site_id, item)`` events into *runs*
-— maximal stretches of consecutive events bound for the same site — and
-hands each run to :meth:`repro.runtime.Site.on_elements` in one call.
+overhead and space-ledger bookkeeping on every element.  The batched
+path hands each site many elements per :meth:`repro.runtime.Site.
+on_elements` call, and what decides *how* many is what the site vouches
+for:
 
-Global arrival order is preserved exactly: runs are emitted in stream
-order and a run never spans a site change.  Protocol transcripts (every
-message, every RNG draw) are therefore identical to per-event driving,
-which is what makes batched ingestion safe for round-based protocols
-whose behaviour depends on the interleaving across sites.
+* A site that states a :meth:`~repro.runtime.Site.quiet_horizon` is, for
+  that many elements, a pure function of its own sub-stream — the
+  coordinator will not talk back — so the driver
+  (:func:`repro.exec.dispatch.drive_batch`) gives it **everything the
+  batch holds for it** up to the end of the *quiet stretch*, the
+  earliest position where any site's horizon runs out, and replays the
+  uplinks the network held in arrival order.  The paper's randomized
+  trackers hear from the coordinator only when the tracked sum doubles,
+  O(log N) times per stream, so a stretch is usually the whole batch.
+* A site that states nothing (horizon 0, the default) is driven one
+  *run* at a time — a maximal stretch of consecutive events bound for
+  the same site — live and in global arrival order, as is the one run
+  that ends each quiet stretch.
 
-The decomposition is computed once per batch, so a multi-tenant service
-amortizes it over every registered job.  Array inputs take a numpy path
-(boundary detection on arrays is ~100x faster than a Python loop); list
-inputs keep the loop.
+Either way protocol transcripts (every message, every RNG draw) are
+identical to per-event driving, which is what makes batched ingestion
+safe for round-based protocols whose behaviour depends on the
+interleaving across sites.
+
+:class:`SiteBatch` is the one view both cases read, computed once per
+batch so a multi-tenant service amortizes it over every registered job:
+run boundaries for live delivery and, on first use, each site's
+elements with their global positions.  :func:`decompose_runs` spells the
+runs out as ``(site_id, chunk)`` pairs for the site-actor hub
+(:mod:`repro.net.actors`), which posts them to its actors.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-# The run dispatcher lives on the shared execution plane now
-# (:mod:`repro.exec.dispatch`); re-exported here because the batching
-# module is where every driving layer historically imported it from.
-from ..exec.dispatch import drive_runs
-
-__all__ = ["decompose_runs", "batch_from_stream", "drive_runs"]
+__all__ = ["SiteBatch", "decompose_runs", "batch_from_stream"]
 
 
 def batch_from_stream(stream) -> Tuple[list, list]:
@@ -62,6 +73,81 @@ def _item_list(items, n: int) -> Optional[list]:
             f"site_ids and items length mismatch: {n} vs {len(items)}"
         )
     return items
+
+
+class SiteBatch:
+    """One ordered event batch, viewed by run and by site.
+
+    ``site_ids`` (numpy integer array or sequence of ints) and ``items``
+    (same length, or None for count-style streams of the unit item)
+    describe the events in arrival order; position ``g`` below is an
+    index into them.
+
+    Attributes
+    ----------
+    n:
+        Number of events.
+    items:
+        The payloads as one list (None for count-style streams); a run
+        is the slice ``items[a:b]``.
+    run_starts, run_sites:
+        Start position and site of every run, in order; ``run_starts``
+        ends with the sentinel ``n``.
+    per_site:
+        ``{site_id: (positions, site_items)}`` — the ascending global
+        positions of the site's events (an integer array) and their
+        payloads (a list).  Computed on first use: a batch whose jobs
+        all drive live never pays for it.
+    """
+
+    def __init__(self, site_ids, items=None):
+        if not isinstance(site_ids, _np.ndarray):
+            if not hasattr(site_ids, "__len__"):
+                site_ids = list(site_ids)
+            ids = _np.fromiter(site_ids, _np.int64, len(site_ids))
+        elif site_ids.dtype.kind in "iu":
+            ids = site_ids
+        else:
+            ids = site_ids.astype(_np.int64)
+        n = int(ids.shape[0])
+        self.n = n
+        self.items = _item_list(items, n)
+        self._ids = ids
+        if n == 0:
+            self.run_starts, self.run_sites = [0], []
+            return
+        if ids.min() < 0:
+            # would index the fleet from its end, under a second name
+            raise IndexError(f"site id {int(ids.min())} out of range")
+        starts = _np.concatenate(
+            ([0], _np.flatnonzero(ids[1:] != ids[:-1]) + 1)
+        )
+        self.run_sites = ids[starts].tolist()
+        self.run_starts = starts.tolist()
+        self.run_starts.append(n)
+
+    @cached_property
+    def per_site(self) -> dict:
+        ids, n = self._ids, self.n
+        if n == 0:
+            return {}
+        if ids.max() < 1 << 15:
+            # numpy's stable sort of 16-bit keys is a radix sort
+            ids = ids.astype(_np.int16)
+        order = _np.argsort(ids, kind="stable")
+        grouped = ids[order]
+        cuts = _np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+        bounds = [0, *cuts.tolist(), n]
+        items = self.items
+        if items is not None:
+            items = list(map(items.__getitem__, order.tolist()))
+        return {
+            int(grouped[a]): (
+                order[a:b],
+                [1] * (b - a) if items is None else items[a:b],
+            )
+            for a, b in zip(bounds, bounds[1:])
+        }
 
 
 def decompose_runs(

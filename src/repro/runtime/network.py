@@ -22,13 +22,18 @@ from ..persistence.codec import PersistableState
 from .metrics import CommStats
 from .protocol import BROADCAST, DOWNLINK, UPLINK, Message
 
-__all__ = ["Network", "OneWayViolation"]
+__all__ = ["Network", "OneWayViolation", "HorizonViolation"]
 
 _MAX_DEPTH = 10_000
 
 
 class OneWayViolation(RuntimeError):
     """Raised when a coordinator tries to talk on a one-way network."""
+
+
+class HorizonViolation(RuntimeError):
+    """Raised when a coordinator talks back while a quiet stretch's held
+    uplinks are replayed: a site overstated its ``quiet_horizon()``."""
 
 
 class Network(PersistableState):
@@ -38,20 +43,30 @@ class Network(PersistableState):
     send messages, which are delivered before the original call returns.
     A depth guard catches accidental infinite chatter.
 
+    The one exception is a *quiet stretch* of the batch driver: between
+    :meth:`hold_uplinks` and :meth:`replay_uplinks` every uplink is kept,
+    stamped with its sender's ``n_local``, and nothing is charged or
+    delivered; the replay then routes them through
+    :meth:`send_to_coordinator` in the order the driver gives, so ledger,
+    mirrors, tracer, loss draws and coordinator see the sequence live
+    delivery would have produced.
+
     ``state_dict()`` snapshots the ledger, drop counters and the loss
     RNG stream; loading it into a freshly bound network resumes
     identical accounting and identical fault-injection decisions.
     """
 
     #: wiring, mirrors and tracers are rebuilt by bind()/attach_mirror()/
-    #: set_tracer(); the delivery depth is always 0 between batches
-    #: (snapshot points)
+    #: set_tracer(); between batches (snapshot points) the delivery depth
+    #: is 0 and no stretch is open
     _persist_transient_ = (
         "_coordinator",
         "_sites",
         "_mirrors",
         "_depth",
         "_tracer",
+        "_held",
+        "_replaying",
     )
 
     def __init__(
@@ -76,6 +91,8 @@ class Network(PersistableState):
         self._sites = {}
         self._depth = 0
         self._tracer = None
+        self._held = None  # the open stretch's uplinks, else None
+        self._replaying = None  # the scheme whose uplinks are replayed
 
     # -- wiring ----------------------------------------------------------
 
@@ -121,8 +138,41 @@ class Network(PersistableState):
     def _exit(self):
         self._depth -= 1
 
+    def hold_uplinks(self) -> None:
+        """Open a quiet stretch: until :meth:`replay_uplinks`, uplinks
+        are kept as ``(sender's n_local, site_id, message)`` instead of
+        being charged and delivered."""
+        self._held = []
+
+    def replay_uplinks(self, position, scheme: str) -> None:
+        """Close the stretch: deliver the held uplinks in the order of
+        ``position(n_local stamp, site_id)``, the arrival position of
+        the element that caused each (stable, so one element's sends
+        keep their order).  The sites ran ahead on the promise that none
+        of these is answered; a downlink or broadcast now raises
+        :class:`HorizonViolation` naming ``scheme``."""
+        held, self._held = self._held, None
+        held.sort(key=lambda entry: position(entry[0], entry[1]))
+        self._replaying = scheme
+        try:
+            for _, site_id, message in held:
+                self.send_to_coordinator(site_id, message)
+        finally:
+            self._replaying = None
+
+    def _refuse_if_replaying(self, what: str) -> None:
+        if self._replaying is not None:
+            raise HorizonViolation(
+                f"{self._replaying}: coordinator {what} in answer to an "
+                "uplink held during a quiet stretch; a site overstated "
+                "its quiet_horizon()"
+            )
+
     def send_to_coordinator(self, site_id: int, message: Message) -> None:
         """Deliver a site's message to the coordinator (uplink)."""
+        if self._held is not None:
+            self._held.append((self._sites[site_id].n_local, site_id, message))
+            return
         # Ledger bookkeeping is inlined (not record_uplink) because this
         # runs once per protocol message on the ingestion hot path.
         words = message.words
@@ -153,6 +203,7 @@ class Network(PersistableState):
         """Deliver a coordinator message to one site (downlink)."""
         if self.one_way:
             raise OneWayViolation("downlink disabled on a one-way network")
+        self._refuse_if_replaying("downlink")
         self.stats.record_downlink(message.words)
         for mirror in self._mirrors:
             mirror.record_downlink(message.words)
@@ -168,6 +219,7 @@ class Network(PersistableState):
         """Deliver a coordinator message to every site; costs k messages."""
         if self.one_way:
             raise OneWayViolation("broadcast disabled on a one-way network")
+        self._refuse_if_replaying("broadcast")
         self.stats.record_broadcast(message.words, self.num_sites)
         for mirror in self._mirrors:
             mirror.record_broadcast(message.words, self.num_sites)

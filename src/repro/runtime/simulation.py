@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from ..exec.dispatch import drive_runs
-from .batching import decompose_runs
+from ..exec.dispatch import drive_batch
+from .batching import SiteBatch
 from .metrics import SpaceStats
 from .network import Network
 from .scheme import TrackingScheme
@@ -109,15 +109,17 @@ class Simulation:
         ``site_ids`` (numpy array or sequence of ints) and ``items``
         (same length, or None for the unit item) describe the same stream
         ``run`` would consume as ``zip(site_ids, items)``.  The batch is
-        decomposed into per-site runs (global order preserved) and each
-        run is delivered through :meth:`Site.on_elements`, so protocol
+        delivered through :meth:`Site.on_elements` by the shared driver
+        (:func:`~repro.exec.dispatch.drive_batch`: per-site slices inside
+        quiet stretches, arrival-order runs otherwise), so protocol
         messages and estimates are *identical* to per-event driving with
-        the same seed.  Space is sampled once per run instead of once per
-        event — high-water marks are therefore lower bounds of the
-        per-event ledger, which is a measurement knob, not protocol state.
+        the same seed.  Space is sampled at run ends, every
+        ``space_sample_interval`` elements, instead of once per event —
+        high-water marks are therefore lower bounds of the per-event
+        ledger, which is a measurement knob, not protocol state.
         """
-        drive_runs(
-            self, decompose_runs(site_ids, items), self.space_sample_interval
+        drive_batch(
+            self, SiteBatch(site_ids, items), self.space_sample_interval
         )
 
     def sample_space(self) -> None:

@@ -36,10 +36,14 @@ class Site(PersistableState, ABC):
         """Process one element of the local stream."""
 
     def on_elements(self, items) -> None:
-        """Process a contiguous run of local elements (batched fast path).
+        """Process this site's next local elements (batched fast path).
 
         ``items`` is a sized, indexable sequence (list or numpy array)
-        delivered in arrival order.  The default is a tight loop over
+        in local arrival order: one arrival-order run when the site is
+        driven live, or — inside a *quiet stretch* the site vouched for
+        through :meth:`quiet_horizon` — every element the batch holds
+        for it up to the stretch's end, however the other sites'
+        elements interleave.  The default is a tight loop over
         :meth:`on_element`; subclasses may override with a faster
         implementation, but it MUST be *exactly* equivalent — same
         messages, same RNG consumption in the same order — so batched and
@@ -47,12 +51,33 @@ class Site(PersistableState, ABC):
         seed.  The count, frequency and randomized rank sites all
         override it with an inlined ``on_element``; their shared rule is
         that any ``send`` may re-enter :meth:`on_message` (a doubling
-        report can start a round), so state held in locals is written
-        back before every send and re-read after it.
+        report can start a round), so state held in locals — the
+        element counter :attr:`n_local` first of all — is written back
+        before every send and re-read after it.
         """
         on_element = self.on_element
         for item in items:
             on_element(item)
+
+    def quiet_horizon(self) -> int:
+        """How many more local elements this site can take before one of
+        its *own* uplinks could make the coordinator talk back.
+
+        Between two such uplinks the site is a pure function of its own
+        sub-stream and its own RNG, so the batch driver hands it all of
+        them in one :meth:`on_elements` call while the network holds the
+        uplinks, then replays those in arrival order (see
+        :func:`repro.exec.dispatch.drive_batch`).  The default, 0, is
+        always safe: the site is driven run by run in arrival order with
+        every send delivered at once.  A site that states more must
+
+        * never overstate — a coordinator that answers a held uplink
+          raises :class:`~repro.runtime.HorizonViolation`;
+        * expose ``n_local``, the number of local elements taken so far,
+          and keep it current before every send (the write-back rule of
+          :meth:`on_elements`): held uplinks are ordered by it.
+        """
+        return 0
 
     def on_message(self, message: Message) -> None:
         """Handle a message from the coordinator.  Default: ignore."""

@@ -11,7 +11,7 @@ Components:
 * :class:`TrackingService` — registry, ingestion and query front-end.
 * :class:`TrackingJob` — one registered scheme instance with its own
   coordinator, site handlers and ledgers.
-* :class:`BatchIngestEngine` — decompose-once, drive-many batched hot
+* :class:`BatchIngestEngine` — view-once, drive-many batched hot
   path shared with :meth:`Simulation.run_batched`.
 * :class:`DuplicateJobError` / :class:`UnknownJobError` — registry errors.
 

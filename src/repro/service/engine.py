@@ -1,35 +1,34 @@
-"""Batched ingestion engine: one decomposition, many jobs.
+"""Batched ingestion engine: one batch view, many jobs.
 
 The engine is the service's hot path.  An incoming batch of events is
-decomposed into per-site runs *once* (numpy-accelerated boundary
-detection, see :mod:`repro.runtime.batching`), and the resulting run list
-is replayed into every registered job through the execution plane's
-shared :func:`~repro.exec.dispatch.drive_runs` loop — the same loop
-behind :meth:`Simulation.run_batched`, so a job driven by the engine
-produces a transcript identical to a standalone simulation with the
-same seed.
+viewed by run and by site *once* (:class:`~repro.runtime.SiteBatch`,
+numpy-accelerated), and that view is delivered to every registered job
+through the execution plane's shared
+:func:`~repro.exec.dispatch.drive_batch` loop — the same loop behind
+:meth:`Simulation.run_batched`, so a job driven by the engine produces a
+transcript identical to a standalone simulation with the same seed.
 
-Amortization over the per-event loop comes from three places: the run
-decomposition is shared across all jobs, each run costs one Python call
-into the site handler instead of one per event (the count, frequency and
-randomized rank sites additionally override :meth:`Site.on_elements` with
-transcript-identical inlined loops — closed forms for deterministic
-count, one shared intake per chunk tree for rank), and space sampling
-happens per run / per interval instead of per event.
+Amortization over the per-event loop comes from three places: the batch
+view is shared across all jobs; a site that states a quiet horizon (the
+count trackers and the randomized frequency and rank trackers — see
+:meth:`Site.quiet_horizon`) takes every element the batch holds for it
+in one Python call, however the sites interleave, and any other site one
+call per arrival-order run, each through a transcript-identical inlined
+:meth:`Site.on_elements` where the scheme has one — closed forms for
+deterministic count, one shared intake per chunk tree for rank; and
+space sampling happens per interval instead of per event.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
-
-from ..exec.dispatch import drive_runs
-from ..runtime.batching import decompose_runs
+from ..exec.dispatch import drive_batch
+from ..runtime.batching import SiteBatch
 
 __all__ = ["BatchIngestEngine"]
 
 
 class BatchIngestEngine:
-    """Drives decomposed event runs into job protocol stacks.
+    """Drives event batches into job protocol stacks.
 
     Parameters
     ----------
@@ -41,24 +40,20 @@ class BatchIngestEngine:
     def __init__(self, space_sample_interval: int = 4096):
         self.space_sample_interval = max(1, space_sample_interval)
         #: plain counters read by the observability plane at scrape
-        #: time (two dict adds per batch — nothing per event)
-        self.stats = {"batches": 0, "events": 0}
-
-    def decompose(self, site_ids, items=None) -> List[Tuple[int, list]]:
-        """Split one ordered batch into per-site runs (order preserved)."""
-        return decompose_runs(site_ids, items)
-
-    def drive(self, job, runs: Iterable[Tuple[int, list]]) -> int:
-        """Replay a run list into one job; returns elements ingested."""
-        before = job.elements_processed
-        return drive_runs(job, runs, self.space_sample_interval) - before
+        #: time (three dict adds per batch — nothing per event).
+        #: ``site_calls`` counts ``on_elements`` calls over all jobs, so
+        #: ``events * jobs / site_calls`` is the mean slice a site takes
+        #: per call: the run length where every job drives live, about
+        #: batch size / sites where quiet stretches are engaged.
+        self.stats = {"batches": 0, "events": 0, "site_calls": 0}
 
     def ingest(self, jobs, site_ids, items=None) -> int:
-        """Decompose once, drive every job; returns batch size."""
-        runs = self.decompose(site_ids, items)
+        """View the batch once, drive every job; returns batch size."""
+        batch = SiteBatch(site_ids, items)
+        calls = 0
         for job in jobs:
-            drive_runs(job, runs, self.space_sample_interval)
-        n = sum(len(chunk) for _, chunk in runs)
+            calls += drive_batch(job, batch, self.space_sample_interval)
         self.stats["batches"] += 1
-        self.stats["events"] += n
-        return n
+        self.stats["events"] += batch.n
+        self.stats["site_calls"] += calls
+        return batch.n

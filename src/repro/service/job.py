@@ -91,8 +91,9 @@ class TrackingJob:
     """A named tracking workload multiplexed over the shared site fleet.
 
     Exposes the same driving surface as :class:`~repro.runtime.Simulation`
-    (``sites``, ``space``, ``elements_processed``, ``sample_space``) so the
-    batched ingestion engine can drive either interchangeably.
+    (``sites``, ``network``, ``scheme``, ``space``, ``elements_processed``,
+    ``sample_space``) so the batched ingestion engine can drive either
+    interchangeably.
     """
 
     def __init__(

@@ -198,9 +198,11 @@ class TrackingService:
 
         ``site_ids`` is a numpy integer array or sequence of site ids;
         ``items`` the matching payloads (None means the unit item, for
-        count-style streams).  The batch is decomposed into per-site runs
-        once and replayed into each job — transcripts are identical to
-        per-event driving with the same seeds.  Returns the batch size.
+        count-style streams).  The batch is viewed by run and by site
+        once and delivered to each job (whole per-site slices inside
+        quiet stretches, arrival-order runs otherwise) — transcripts are
+        identical to per-event driving with the same seeds.  Returns the
+        batch size.
 
         With ``checkpoint_dir`` enabled the batch is appended to the WAL
         *before* any job observes it (write-ahead), so a crash at any

@@ -170,6 +170,9 @@ class TestMetricsEndpoint:
             for line in sample_lines(text)
         )
         assert float(values["repro_service_elements_total"]) == 300.0
+        # Both jobs drive run by run and round-robin runs have length 1:
+        # one on_elements call per job per event, summed over the hubs.
+        assert float(values["repro_service_ingest_site_calls_total"]) == 600.0
         per_shard = sum(
             float(v)
             for k, v in values.items()
