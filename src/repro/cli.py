@@ -10,11 +10,20 @@ Examples::
     python -m repro gateway --listen :8791   # HTTP/JSON query gateway
     python -m repro site --listen :9200      # a TCP site-actor host
     python -m repro query http://host:8791 total   # query a gateway
+
+``query``, ``metrics`` and ``fleet`` are clients of a running gateway's
+route table (:attr:`repro.net.gateway.Gateway._ROUTES`) and share one
+HTTP client here: :func:`_parse_client` (their common flags),
+:func:`_request` (every failure becomes one clean line) and
+:func:`_run_client` (once or ``--watch``; exit codes).  ``serve``,
+``restore`` and ``gateway`` build or recover their service through
+:func:`_open_service`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -24,7 +33,7 @@ import time
 from . import Simulation, TrackingService
 from .analysis import render_table
 from .service import ServiceError
-from .service.jobspec import SCHEMES, parse_job_spec
+from .service.jobspec import SCHEMES, parse_job_spec, parse_query_literal
 from .workloads import (
     bursty_sites,
     multi_tenant,
@@ -190,8 +199,10 @@ def _problem_of(job) -> str:
     return job.scheme.name.split("/", 1)[0]
 
 
-def _service_rows(service, problems):
-    """Per-job result rows plus the fleet-total row for the status table."""
+def _print_service_table(service, problems, title) -> None:
+    """The status table: one row per job (``problems`` names the family
+    of jobs registered by spec; the rest derive it from their scheme)
+    plus the fleet-total row."""
     status = service.status()
     rows = []
     for name, job in status["jobs"].items():
@@ -230,9 +241,60 @@ def _service_rows(service, problems):
             "",
         ]
     )
-    return rows, status
+    print(
+        render_table(
+            ["job", "scheme", "messages", "words", "site space", "result"],
+            rows,
+            title=title,
+        )
+    )
 
 
+class _UsageError(Exception):
+    """Operator input a subcommand refuses; the message names the flag."""
+
+
+def _subcommand(run):
+    """Entry point of one subcommand: a :class:`_UsageError` raised
+    anywhere below becomes its one ``error:`` line and exit 2."""
+
+    @functools.wraps(run)
+    def entry(argv) -> int:
+        try:
+            return run(argv)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    return entry
+
+
+def _open_service(open_service, specs, eps, keep_registered):
+    """Build or restore a service, then register ``specs`` on it.
+
+    ``open_service()`` returns the fresh or recovered service.  With
+    ``keep_registered`` a spec naming a job the service already has is
+    skipped — a recovered job keeps its restored scheme (and its problem
+    family is re-derived from that scheme, not the spec); without it
+    the clash is the registry's error.  Returns ``(service, {name:
+    problem})`` for the jobs registered here; a bad spec or a missing
+    checkpoint is a :class:`_UsageError`.
+    """
+    problems = {}
+    try:
+        service = open_service()
+        for spec in specs:
+            name, problem, scheme = parse_job_spec(spec, eps)
+            if keep_registered and name in service:
+                continue
+            service.register(name, scheme)
+            problems[name] = problem
+    except (FileNotFoundError, ValueError, ServiceError) as exc:
+        raise _UsageError(exc) from None
+    return service, problems
+
+
+@_subcommand
 def run_serve(args) -> int:
     """The `repro serve` subcommand: a multi-tenant service demo."""
     # multi_tenant raises lazily (generator), so validate its knobs here
@@ -240,50 +302,28 @@ def run_serve(args) -> int:
     for flag, value in (("--batch", args.batch), ("--tenants", args.tenants),
                         ("--burst", args.burst)):
         if value < 1:
-            print(f"error: {flag} must be positive", file=sys.stderr)
-            return 2
+            raise _UsageError(f"{flag} must be positive")
     if args.checkpoint_every is not None:
         if args.checkpoint_every < 1:
-            print("error: --checkpoint-every must be positive", file=sys.stderr)
-            return 2
+            raise _UsageError("--checkpoint-every must be positive")
         if not args.checkpoint_dir:
-            print(
-                "error: --checkpoint-every requires --checkpoint-dir",
-                file=sys.stderr,
-            )
-            return 2
+            raise _UsageError("--checkpoint-every requires --checkpoint-dir")
     if args.resume and not args.checkpoint_dir:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    problems = {}
-    try:
-        if args.resume:
-            service = TrackingService.restore(args.checkpoint_dir)
-            # Restored jobs come back with their schemes; --job flags may
-            # add new jobs but never clobber recovered ones.
-            for spec in args.job or []:
-                name, problem, scheme = parse_job_spec(spec, args.eps)
-                if name not in service:
-                    service.register(name, scheme)
-                    problems[name] = problem
-                # An existing job keeps its restored scheme; its problem
-                # family is re-derived from that scheme, not the spec.
-        else:
-            service = TrackingService(
+        raise _UsageError("--resume requires --checkpoint-dir")
+    if args.resume:
+        service, problems = _open_service(
+            lambda: TrackingService.restore(args.checkpoint_dir),
+            args.job or [], args.eps, keep_registered=True,
+        )
+    else:
+        service, problems = _open_service(
+            lambda: TrackingService(
                 num_sites=args.k,
                 seed=args.seed,
                 checkpoint_dir=args.checkpoint_dir,
-            )
-            for spec in args.job or list(DEFAULT_SERVE_JOBS):
-                name, problem, scheme = parse_job_spec(spec, args.eps)
-                service.register(name, scheme)
-                problems[name] = problem
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ServiceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            ),
+            args.job or DEFAULT_SERVE_JOBS, args.eps, keep_registered=False,
+        )
     # The stream is regenerated from the SERVICE's seed and fleet size —
     # on --resume those come from the snapshot, so forgetting --seed or
     # -k cannot silently continue a different stream (workload-shape
@@ -318,53 +358,42 @@ def run_serve(args) -> int:
     if service.checkpoint_dir is not None:
         service.checkpoint()
         service.close()
-    rows, status = _service_rows(service, problems)
     durability = (
         f", checkpoints={service.checkpoint_dir}"
         if service.checkpoint_dir is not None
         else ""
     )
-    print(
-        render_table(
-            ["job", "scheme", "messages", "words", "site space", "result"],
-            rows,
-            title=(
-                f"service: k={service.num_sites}, "
-                f"n={service.elements_processed:,}, tenants={args.tenants}, "
-                f"burst={args.burst}, batch={args.batch}{durability}"
-            ),
-        )
+    _print_service_table(
+        service,
+        problems,
+        f"service: k={service.num_sites}, "
+        f"n={service.elements_processed:,}, tenants={args.tenants}, "
+        f"burst={args.burst}, batch={args.batch}{durability}",
     )
     rate = total / elapsed if elapsed > 0 else float("inf")
     resumed = f" (resumed past {skip:,})" if skip else ""
     print(
-        f"ingested {total:,} events x {len(status['jobs'])} jobs "
+        f"ingested {total:,} events x {len(service)} jobs "
         f"in {elapsed:.2f}s ({rate:,.0f} events/s/job){resumed}"
     )
     return 0
 
 
+@_subcommand
 def run_restore(args) -> int:
     """The `repro restore` subcommand: recover and report, no ingestion."""
     if not args.checkpoint_dir:
-        print("error: restore requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    try:
-        service = TrackingService.restore(args.checkpoint_dir)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows, status = _service_rows(service, {})
-    print(
-        render_table(
-            ["job", "scheme", "messages", "words", "site space", "result"],
-            rows,
-            title=(
-                f"restored service: k={service.num_sites}, "
-                f"n={service.elements_processed:,}, "
-                f"jobs={len(status['jobs'])}, from {args.checkpoint_dir}"
-            ),
-        )
+        raise _UsageError("restore requires --checkpoint-dir")
+    service, _ = _open_service(
+        lambda: TrackingService.restore(args.checkpoint_dir),
+        (), args.eps, keep_registered=True,
+    )
+    _print_service_table(
+        service,
+        {},
+        f"restored service: k={service.num_sites}, "
+        f"n={service.elements_processed:,}, "
+        f"jobs={len(service)}, from {args.checkpoint_dir}",
     )
     service.close()
     return 0
@@ -377,8 +406,6 @@ def make_stream(problem: str, workload: str, n: int, k: int, seed: int):
         return list(arrivals(n, k, seed))
     if problem == "frequency":
         source = zipf_items(max(10, n // 100), alpha=1.2, seed=seed + 1)
-        if workload == "uniform":
-            source = zipf_items(max(10, n // 100), alpha=1.2, seed=seed + 1)
         return list(with_items(uniform_sites(n, k, seed=seed), source))
     # rank
     if workload == "sorted":
@@ -409,6 +436,17 @@ def describe(problem: str, sim: Simulation, n: int) -> list:
     ]
 
 
+def _load_json_flag(flag: str, path: str):
+    """The JSON document a ``--...-file``-style flag points at; an
+    unreadable or malformed one is a usage error naming the flag."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot load {flag}: {exc}") from None
+
+
+@_subcommand
 def run_gateway(argv) -> int:
     """The `repro gateway` subcommand: HTTP/JSON service frontend."""
     import asyncio
@@ -527,72 +565,42 @@ def run_gateway(argv) -> int:
         ("--shards", args.shards),
     ):
         if value < 1:
-            print(f"error: {flag} must be positive", file=sys.stderr)
-            return 2
+            raise _UsageError(f"{flag} must be positive")
     if args.ingest_rate is not None and args.ingest_rate <= 0:
-        print("error: --ingest-rate must be positive", file=sys.stderr)
-        return 2
+        raise _UsageError("--ingest-rate must be positive")
     if args.fleet_interval <= 0:
-        print("error: --fleet-interval must be positive", file=sys.stderr)
-        return 2
+        raise _UsageError("--fleet-interval must be positive")
     if args.resume and not args.checkpoint_dir:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
+        raise _UsageError("--resume requires --checkpoint-dir")
     if args.hubs and args.shard_workers != "cluster":
-        print(
-            "error: --hub requires --shard-workers cluster", file=sys.stderr
-        )
-        return 2
+        raise _UsageError("--hub requires --shard-workers cluster")
     if (args.window is not None or args.site_depth is not None) \
             and not args.relaxed:
-        print(
-            "error: --window/--site-depth require --relaxed",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError("--window/--site-depth require --relaxed")
     for flag, value in (
         ("--window", args.window), ("--site-depth", args.site_depth)
     ):
         if value is not None and value < 1:
-            print(f"error: {flag} must be positive", file=sys.stderr)
-            return 2
-    api_keys = None
+            raise _UsageError(f"{flag} must be positive")
+    api_keys = alert_rules = None
     if args.api_keys_file:
-        try:
-            with open(args.api_keys_file) as f:
-                api_keys = json.load(f)
-        except (OSError, ValueError) as exc:
-            print(
-                f"error: cannot load --api-keys-file: {exc}", file=sys.stderr
-            )
-            return 2
+        api_keys = _load_json_flag("--api-keys-file", args.api_keys_file)
         if not isinstance(api_keys, dict) or not api_keys:
-            print(
-                "error: --api-keys-file must hold a non-empty JSON object "
-                "mapping key -> tenant",
-                file=sys.stderr,
+            raise _UsageError(
+                "--api-keys-file must hold a non-empty JSON object "
+                "mapping key -> tenant"
             )
-            return 2
-    alert_rules = None
     if args.alert_rules:
-        try:
-            with open(args.alert_rules) as f:
-                alert_rules = json.load(f)
-        except (OSError, ValueError) as exc:
-            print(
-                f"error: cannot load --alert-rules: {exc}", file=sys.stderr
-            )
-            return 2
-        try:
-            # Validate eagerly (rule/sink schema errors should fail the
-            # launch, not the first evaluation round); the gateway
-            # builds its own manager from the same manifest.
-            from .obs import AlertManager
+        alert_rules = _load_json_flag("--alert-rules", args.alert_rules)
+        # Validate eagerly (rule/sink schema errors should fail the
+        # launch, not the first evaluation round); the gateway builds
+        # its own manager from the same manifest.
+        from .obs import AlertManager
 
+        try:
             AlertManager.from_manifest(alert_rules).close()
         except ValueError as exc:
-            print(f"error: --alert-rules: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"--alert-rules: {exc}") from None
     from .shard import ShardedTrackingService
 
     # --relaxed and cluster workers run on the sharded facade even for a
@@ -600,71 +608,58 @@ def run_gateway(argv) -> int:
     sharded = (
         args.shards > 1 or args.shard_workers == "cluster" or args.relaxed
     )
+    def open_service():
+        if not args.resume:
+            if not sharded:
+                return TrackingService(
+                    num_sites=args.k,
+                    seed=args.seed,
+                    space_budget_words=args.space_budget,
+                    checkpoint_dir=args.checkpoint_dir,
+                )
+            return ShardedTrackingService(
+                num_sites=args.k,
+                num_shards=args.shards,
+                seed=args.seed,
+                space_budget_words=args.space_budget,
+                checkpoint_dir=args.checkpoint_dir,
+                executor=args.shard_workers,
+                hub_addresses=args.hubs,
+                relaxed=args.relaxed,
+                window=args.window,
+                per_site_depth=args.site_depth,
+            )
+        if os.path.exists(os.path.join(args.checkpoint_dir, "shards.json")):
+            return ShardedTrackingService.restore(
+                args.checkpoint_dir,
+                executor=args.shard_workers,
+                hub_addresses=args.hubs,
+                relaxed=args.relaxed,
+                window=args.window,
+                per_site_depth=args.site_depth,
+            )
+        # The checkpoint fixes the topology: an unsharded bundle cannot
+        # honor hub placement or relaxed dispatch, and silently dropping
+        # those flags would leave the operator believing shards run
+        # remotely.
+        if args.relaxed or args.hubs or args.shard_workers == "cluster":
+            raise ValueError(
+                "--checkpoint-dir holds an unsharded checkpoint (no "
+                "shards.json); --relaxed/--hub/--shard-workers cluster "
+                "cannot apply on --resume"
+            )
+        return TrackingService.restore(args.checkpoint_dir)
+
+    specs = args.job or []
+    if args.job is None and not (args.resume or args.no_default_jobs):
+        specs = DEFAULT_SERVE_JOBS
     try:
         host, port = parse_address(args.listen)
-        if args.resume:
-            import os as _os
-
-            if _os.path.exists(
-                _os.path.join(args.checkpoint_dir, "shards.json")
-            ):
-                service = ShardedTrackingService.restore(
-                    args.checkpoint_dir,
-                    executor=args.shard_workers,
-                    hub_addresses=args.hubs,
-                    relaxed=args.relaxed,
-                    window=args.window,
-                    per_site_depth=args.site_depth,
-                )
-            else:
-                # The checkpoint fixes the topology: an unsharded bundle
-                # cannot honor hub placement or relaxed dispatch, and
-                # silently dropping those flags would leave the operator
-                # believing shards run remotely.
-                if args.relaxed or args.hubs or args.shard_workers == "cluster":
-                    print(
-                        "error: --checkpoint-dir holds an unsharded "
-                        "checkpoint (no shards.json); --relaxed/--hub/"
-                        "--shard-workers cluster cannot apply on --resume",
-                        file=sys.stderr,
-                    )
-                    return 2
-                service = TrackingService.restore(args.checkpoint_dir)
-            specs = args.job or []
-        else:
-            if sharded:
-                service = ShardedTrackingService(
-                    num_sites=args.k,
-                    num_shards=args.shards,
-                    seed=args.seed,
-                    space_budget_words=args.space_budget,
-                    checkpoint_dir=args.checkpoint_dir,
-                    executor=args.shard_workers,
-                    hub_addresses=args.hubs,
-                    relaxed=args.relaxed,
-                    window=args.window,
-                    per_site_depth=args.site_depth,
-                )
-            else:
-                service = TrackingService(
-                    num_sites=args.k,
-                    seed=args.seed,
-                    space_budget_words=args.space_budget,
-                    checkpoint_dir=args.checkpoint_dir,
-                )
-            specs = args.job
-            if specs is None and not args.no_default_jobs:
-                specs = list(DEFAULT_SERVE_JOBS)
-        for spec in specs or []:
-            name, _, scheme = parse_job_spec(spec, args.eps)
-            if name not in service:
-                service.register(name, scheme)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ServiceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+    service, _ = _open_service(
+        open_service, specs, args.eps, keep_registered=True
+    )
 
     served = False
 
@@ -685,24 +680,9 @@ def run_gateway(argv) -> int:
         )
         await gateway.start()
         served = True
-        shard_note = ""
-        if hasattr(service, "num_shards"):
-            mode = service.executor
-            dispatch = getattr(service, "dispatch_mode", "lockstep")
-            if dispatch != "lockstep":
-                mode += f", {dispatch}"
-                if dispatch == "windowed":
-                    bounds = []
-                    if service.window is not None:
-                        bounds.append(f"window={service.window}")
-                    if service.per_site_depth is not None:
-                        bounds.append(f"depth={service.per_site_depth}")
-                    mode += f" ({', '.join(bounds)})"
-            shard_note = f", shards={service.num_shards} ({mode})"
         print(
             f"gateway listening on {gateway.url} "
-            f"(k={service.num_sites}{shard_note}, "
-            f"jobs={sorted(service.jobs)})",
+            f"({service.topology()}, jobs={sorted(service.jobs)})",
             flush=True,
         )
         try:
@@ -812,20 +792,141 @@ def run_hub(argv) -> int:
     )
 
 
-def run_query(argv) -> int:
-    """The `repro query` subcommand: hit a gateway, pretty-print JSON."""
+class _RequestError(RuntimeError):
+    """A gateway request failed; the message is operator-clean."""
+
+
+def _client_parser(name, description, epilog) -> argparse.ArgumentParser:
+    """The parser every gateway-client subcommand starts from."""
+    parser = argparse.ArgumentParser(
+        prog=f"repro {name}", description=description, epilog=epilog
+    )
+    parser.add_argument("url", help="gateway base URL, e.g. http://127.0.0.1:8791")
+    return parser
+
+
+def _parse_client(parser, argv, timeout, api_key_help, watch_help=None):
+    """Add the flags every client subcommand ends with (``--watch`` when
+    ``watch_help`` is given, ``--timeout``, ``--api-key``), parse and
+    check them.  Returns the args with ``base`` (the URL sans trailing
+    slash) and ``headers`` filled in."""
+    if watch_help is not None:
+        parser.add_argument(
+            "--watch", type=float, default=None, metavar="SECONDS",
+            help=watch_help,
+        )
+    parser.add_argument(
+        "--timeout", type=float, default=timeout, metavar="SECONDS",
+        help="give up waiting for the gateway after this long "
+        f"(default {timeout:g})",
+    )
+    parser.add_argument("--api-key", metavar="KEY", help=api_key_help)
+    args = parser.parse_args(argv)
+    if args.timeout <= 0:
+        raise _UsageError("--timeout must be positive")
+    if watch_help is not None and args.watch is not None and args.watch <= 0:
+        raise _UsageError("--watch must be positive")
+    args.base = args.url.rstrip("/")
+    args.headers = (
+        {"Authorization": f"Bearer {args.api_key}"} if args.api_key else {}
+    )
+    return args
+
+
+def _request(args, path, body=None, decode=True):
+    """One exchange with the gateway at ``args.base``: GET ``path``, or
+    POST the JSON-able ``body`` to it.  Returns the decoded JSON answer
+    (the raw text with ``decode=False``).  Every failure mode becomes a
+    :class:`_RequestError` whose message is one human line — no
+    traceback ever reaches an operator or a watch loop."""
+    import http.client
     import urllib.error
     import urllib.request
 
-    parser = argparse.ArgumentParser(
-        prog="repro query",
-        description="Query a job on a running gateway.",
-        epilog=(
-            "examples: repro query http://127.0.0.1:8791 total | "
-            "repro query http://127.0.0.1:8791 median quantile 0.5"
-        ),
+    headers, data = args.headers, None
+    if body is not None:
+        headers = {**headers, "Content-Type": "application/json"}
+        data = json.dumps(body).encode()
+    request = urllib.request.Request(
+        args.base + path, data=data, headers=headers
     )
-    parser.add_argument("url", help="gateway base URL, e.g. http://127.0.0.1:8791")
+    try:
+        with urllib.request.urlopen(request, timeout=args.timeout) as response:
+            text = response.read().decode()
+        return json.loads(text) if decode else text
+    except urllib.error.HTTPError as exc:
+        try:
+            detail = json.load(exc).get("error", "")
+        except ValueError:
+            detail = ""
+        raise _RequestError(
+            f"HTTP {exc.code} {exc.reason}" + (f": {detail}" if detail else "")
+        ) from None
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        reason = getattr(exc, "reason", None) or exc
+        if isinstance(reason, ConnectionRefusedError):
+            raise _RequestError(
+                f"connection refused at {args.base} — is the gateway "
+                "running? (start one with `repro gateway`)"
+            ) from None
+        if isinstance(reason, TimeoutError):
+            raise _RequestError(
+                f"gateway at {args.base} did not answer within "
+                f"{args.timeout:g}s (raise --timeout?)"
+            ) from None
+        raise _RequestError(f"cannot reach {args.base}: {reason}") from None
+
+
+def _run_client(once, watch=None, header="") -> int:
+    """Run a client subcommand's ``once()`` — one time, or re-rendered
+    under ``header`` every ``watch`` seconds — with the exits they all
+    share: a failed request is one ``error:`` line and exit 1 (under
+    ``--watch`` a ``connection lost`` notice and a retry with
+    exponential backoff, reset by the next success — never an exit);
+    Ctrl-C and a reader that hung up are exit 0."""
+    try:
+        if watch is None:
+            try:
+                once()
+            except _RequestError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            return 0
+        backoff = watch
+        while True:
+            print(
+                f"\x1b[2J\x1b[H-- {header} (every {watch:g}s, "
+                "Ctrl-C to stop)"
+            )
+            try:
+                once()
+            except _RequestError as exc:
+                print(f"connection lost: {exc} -- retrying in {backoff:g}s")
+                time.sleep(backoff)
+                backoff = min(backoff * 2, max(watch, 30.0))
+                continue
+            backoff = watch
+            time.sleep(watch)
+    except KeyboardInterrupt:
+        return 0
+    except BrokenPipeError:
+        # e.g. `repro metrics URL | head`: the reader hung up mid-table.
+        # Swap stdout for devnull so the interpreter's exit-time flush
+        # does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
+
+
+@_subcommand
+def run_query(argv) -> int:
+    """The `repro query` subcommand: hit a gateway, pretty-print JSON."""
+    parser = _client_parser(
+        "query",
+        "Query a job on a running gateway.",
+        "examples: repro query http://127.0.0.1:8791 total | "
+        "repro query http://127.0.0.1:8791 median quantile 0.5",
+    )
     parser.add_argument("job", help="registered job name")
     parser.add_argument(
         "kind", nargs="?", default=None,
@@ -835,150 +936,38 @@ def run_query(argv) -> int:
         "args", nargs="*",
         help="query arguments (JSON literals; bare words pass as strings)",
     )
-    parser.add_argument(
-        "--timeout", type=float, default=60.0, metavar="SECONDS",
-        help="give up waiting for the gateway after this long (default 60)",
-    )
-    parser.add_argument(
-        "--api-key", metavar="KEY",
-        help="API key for gateways started with --api-keys-file "
+    args = _parse_client(
+        parser, argv, 60.0,
+        "API key for gateways started with --api-keys-file "
         "(sent as `Authorization: Bearer KEY`)",
     )
-    args = parser.parse_args(argv)
-    if args.timeout <= 0:
-        print("error: --timeout must be positive", file=sys.stderr)
-        return 2
 
-    from .service.jobspec import parse_query_literal
-
-    body = json.dumps(
-        {
+    def show() -> None:
+        answer = _request(args, "/v1/query", body={
             "job": args.job,
             "method": args.kind,
             "args": [parse_query_literal(a) for a in args.args],
-        }
-    ).encode()
-    headers = {"Content-Type": "application/json"}
-    if args.api_key:
-        headers["Authorization"] = f"Bearer {args.api_key}"
-    request = urllib.request.Request(
-        args.url.rstrip("/") + "/v1/query",
-        data=body,
-        headers=headers,
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=args.timeout) as response:
-            payload = json.load(response)
-    except urllib.error.HTTPError as exc:
-        try:
-            detail = json.load(exc).get("error", "")
-        except ValueError:
-            detail = ""
-        print(f"error: HTTP {exc.code} {exc.reason}: {detail}", file=sys.stderr)
-        return 1
-    except urllib.error.URLError as exc:
-        reason = getattr(exc, "reason", exc)
-        if isinstance(reason, ConnectionRefusedError):
-            print(
-                f"error: connection refused at {args.url} — is the "
-                "gateway running? (start one with `repro gateway`)",
-                file=sys.stderr,
-            )
-        elif isinstance(reason, TimeoutError):
-            print(
-                f"error: gateway at {args.url} did not answer within "
-                f"{args.timeout:g}s (raise --timeout?)",
-                file=sys.stderr,
-            )
-        else:
-            print(f"error: cannot reach {args.url}: {reason}", file=sys.stderr)
-        return 1
-    except TimeoutError:
-        print(
-            f"error: gateway at {args.url} did not answer within "
-            f"{args.timeout:g}s (raise --timeout?)",
-            file=sys.stderr,
-        )
-        return 1
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+        })
+        print(json.dumps(answer, indent=2, sort_keys=True))
+
+    return _run_client(show)
 
 
-class _ScrapeError(RuntimeError):
-    """A gateway scrape failed; the message is operator-clean."""
-
-
-def _scrape_text(url: str, headers: dict, timeout: float) -> str:
-    """GET a gateway URL, normalizing every failure mode into
-    :class:`_ScrapeError` with a one-line human message (no traceback
-    ever reaches a watch loop)."""
-    import http.client
-    import urllib.error
-    import urllib.request
-
-    request = urllib.request.Request(url, headers=headers)
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.read().decode()
-    except urllib.error.HTTPError as exc:
-        raise _ScrapeError(f"HTTP {exc.code} {exc.reason}") from None
-    except (
-        urllib.error.URLError,
-        http.client.HTTPException,
-        TimeoutError,
-        OSError,
-    ) as exc:
-        reason = getattr(exc, "reason", None) or exc
-        raise _ScrapeError(f"cannot reach {url}: {reason}") from None
-
-
-def _watch_loop(header: str, once, interval: float) -> int:
-    """Re-render ``once()`` every ``interval`` seconds, forever.
-
-    A dropped gateway connection prints one clean ``connection lost``
-    line and keeps retrying with exponential backoff (reset on the
-    next successful scrape) — never a traceback, never an exit.
-    """
-    backoff = interval
-    while True:
-        print(
-            f"\x1b[2J\x1b[H-- {header} (every {interval:g}s, "
-            "Ctrl-C to stop)"
-        )
-        try:
-            once()
-        except _ScrapeError as exc:
-            print(f"connection lost: {exc} -- retrying in {backoff:g}s")
-            time.sleep(backoff)
-            backoff = min(backoff * 2, max(interval, 30.0))
-            continue
-        backoff = interval
-        time.sleep(interval)
-
-
+@_subcommand
 def run_metrics(argv) -> int:
     """The `repro metrics` subcommand: scrape a gateway, pretty-print.
 
     Reads the Prometheus text exposition from ``GET /metrics`` (open —
     no API key needed) and renders a sorted name/value table, or dumps
     the registry JSON from ``GET /v1/metrics`` with ``--json``.
-    ``--watch N`` re-scrapes every N seconds until interrupted; a
-    dropped connection prints a one-line notice and retries with
-    backoff.
     """
-    parser = argparse.ArgumentParser(
-        prog="repro metrics",
-        description="Scrape and pretty-print a running gateway's metrics.",
-        epilog=(
-            "examples: repro metrics http://127.0.0.1:8791 | "
-            "repro metrics http://127.0.0.1:8791 --watch 2 | "
-            "repro metrics http://127.0.0.1:8791 --json"
-        ),
+    parser = _client_parser(
+        "metrics",
+        "Scrape and pretty-print a running gateway's metrics.",
+        "examples: repro metrics http://127.0.0.1:8791 | "
+        "repro metrics http://127.0.0.1:8791 --watch 2 | "
+        "repro metrics http://127.0.0.1:8791 --json",
     )
-    parser.add_argument("url", help="gateway base URL, e.g. http://127.0.0.1:8791")
     parser.add_argument(
         "--json", action="store_true",
         help="dump the registry as JSON (GET /v1/metrics) instead of a table",
@@ -987,37 +976,17 @@ def run_metrics(argv) -> int:
         "--grep", metavar="SUBSTRING",
         help="only show metrics whose name contains SUBSTRING",
     )
-    parser.add_argument(
-        "--watch", type=float, default=None, metavar="SECONDS",
-        help="re-scrape every SECONDS seconds until interrupted",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=10.0, metavar="SECONDS",
-        help="give up waiting for the gateway after this long (default 10)",
-    )
-    parser.add_argument(
-        "--api-key", metavar="KEY",
-        help="API key for /v1/metrics on authenticated gateways "
+    args = _parse_client(
+        parser, argv, 10.0,
+        "API key for /v1/metrics on authenticated gateways "
         "(/metrics itself is always open)",
+        watch_help="re-scrape every SECONDS seconds until interrupted",
     )
-    args = parser.parse_args(argv)
-    if args.timeout <= 0:
-        print("error: --timeout must be positive", file=sys.stderr)
-        return 2
-    if args.watch is not None and args.watch <= 0:
-        print("error: --watch must be positive", file=sys.stderr)
-        return 2
-
-    base = args.url.rstrip("/")
     path = "/v1/metrics" if args.json else "/metrics"
-    headers = {}
-    if args.api_key:
-        headers["Authorization"] = f"Bearer {args.api_key}"
 
     def scrape() -> None:
-        text = _scrape_text(base + path, headers, args.timeout)
         if args.json:
-            payload = json.loads(text)
+            payload = _request(args, path)
             if args.grep:
                 payload = {
                     name: family
@@ -1027,7 +996,7 @@ def run_metrics(argv) -> int:
             print(json.dumps(payload, indent=2, sort_keys=True))
             return
         rows = []
-        for line in text.splitlines():
+        for line in _request(args, path, decode=False).splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -1040,44 +1009,23 @@ def run_metrics(argv) -> int:
         for name, value in rows:
             print(f"{name:<{width}}  {value}")
 
-    try:
-        if args.watch is None:
-            try:
-                scrape()
-            except _ScrapeError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            return 0
-        return _watch_loop(f"{base}{path}", scrape, args.watch)
-    except KeyboardInterrupt:
-        return 0
-    except BrokenPipeError:
-        # e.g. `repro metrics URL | head`: the reader hung up mid-table.
-        # Swap stdout for devnull so the interpreter's exit-time flush
-        # does not raise a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 0
+    return _run_client(scrape, args.watch, f"{args.base}{path}")
 
 
+@_subcommand
 def run_fleet(argv) -> int:
     """The `repro fleet` subcommand: a gateway's hub-fleet at a glance.
 
     Renders ``GET /v1/fleet`` as a per-hub table (liveness state,
     heartbeat, last-seen age, RTT, space used vs. budget, overcommit
-    ratio) followed by the newest fleet events.  ``--watch N`` re-polls
-    every N seconds with the same reconnect/backoff behavior as
-    ``repro metrics --watch``.
+    ratio) followed by the newest fleet events.
     """
-    parser = argparse.ArgumentParser(
-        prog="repro fleet",
-        description="Show a gateway's shard-hub fleet: liveness + capacity.",
-        epilog=(
-            "examples: repro fleet http://127.0.0.1:8791 | "
-            "repro fleet http://127.0.0.1:8791 --watch 2"
-        ),
+    parser = _client_parser(
+        "fleet",
+        "Show a gateway's shard-hub fleet: liveness + capacity.",
+        "examples: repro fleet http://127.0.0.1:8791 | "
+        "repro fleet http://127.0.0.1:8791 --watch 2",
     )
-    parser.add_argument("url", help="gateway base URL, e.g. http://127.0.0.1:8791")
     parser.add_argument(
         "--json", action="store_true",
         help="dump the raw /v1/fleet snapshot as JSON",
@@ -1086,41 +1034,19 @@ def run_fleet(argv) -> int:
         "--events", type=int, default=8, metavar="N",
         help="show the newest N fleet events under the table (default 8)",
     )
-    parser.add_argument(
-        "--watch", type=float, default=None, metavar="SECONDS",
-        help="re-poll every SECONDS seconds until interrupted",
+    args = _parse_client(
+        parser, argv, 10.0, "API key for authenticated gateways",
+        watch_help="re-poll every SECONDS seconds until interrupted",
     )
-    parser.add_argument(
-        "--timeout", type=float, default=10.0, metavar="SECONDS",
-        help="give up waiting for the gateway after this long (default 10)",
-    )
-    parser.add_argument(
-        "--api-key", metavar="KEY",
-        help="API key for authenticated gateways",
-    )
-    args = parser.parse_args(argv)
-    if args.timeout <= 0:
-        print("error: --timeout must be positive", file=sys.stderr)
-        return 2
-    if args.watch is not None and args.watch <= 0:
-        print("error: --watch must be positive", file=sys.stderr)
-        return 2
     if args.events < 0:
-        print("error: --events must be >= 0", file=sys.stderr)
-        return 2
-
-    base = args.url.rstrip("/")
-    headers = {}
-    if args.api_key:
-        headers["Authorization"] = f"Bearer {args.api_key}"
+        raise _UsageError("--events must be >= 0")
+    base = args.base
 
     def fmt(value, spec="", missing="-"):
         return format(value, spec) if value is not None else missing
 
     def show() -> None:
-        snap = json.loads(
-            _scrape_text(base + "/v1/fleet", headers, args.timeout)
-        )
+        snap = _request(args, "/v1/fleet")
         if args.json:
             print(json.dumps(snap, indent=2, sort_keys=True))
             return
@@ -1155,10 +1081,9 @@ def run_fleet(argv) -> int:
             ),
         ))
         if args.events:
-            events = json.loads(_scrape_text(
-                f"{base}/v1/fleet/events?limit={args.events}",
-                headers, args.timeout,
-            ))["events"]
+            events = _request(
+                args, f"/v1/fleet/events?limit={args.events}"
+            )["events"]
             for event in events:
                 stamp = time.strftime(
                     "%H:%M:%S", time.localtime(event["at"])
@@ -1170,21 +1095,7 @@ def run_fleet(argv) -> int:
                     f"{detail} trace={event.get('trace_id')}"
                 )
 
-    try:
-        if args.watch is None:
-            try:
-                show()
-            except _ScrapeError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            return 0
-        return _watch_loop(f"{base}/v1/fleet", show, args.watch)
-    except KeyboardInterrupt:
-        return 0
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 0
+    return _run_client(show, args.watch, f"{base}/v1/fleet")
 
 
 _NET_SUBCOMMANDS = {

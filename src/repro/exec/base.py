@@ -66,6 +66,9 @@ class ExecBackend(abc.ABC):
 
     def __init__(self, spec: dict):
         self.spec = spec
+        #: where the worker runs, for operators' eyes: the placement's
+        #: name, or ``host:port`` once a remote placement has connected
+        self.address = type(self).__name__
         #: where posted-but-uncollected commands are booked: slot
         #: ``_slot`` of ``_ledger``.  A standalone backend owns a
         #: one-slot ledger; an :class:`ExecGroup` rebinds its backends
@@ -76,7 +79,7 @@ class ExecBackend(abc.ABC):
         #: dispatch a reply is collected at the next fence, so this
         #: histogram measures the *in-flight window* — exactly the
         #: pipelining the relaxed mode buys — rather than pure worker
-        #: time.  Owned here, attached to a registry by whoever scrapes.
+        #: time.  Owned here; :meth:`register_metrics` attaches it.
         self.latency = Histogram(LATENCY_BUCKETS)
 
     # -- core (subclass contract) ------------------------------------------
@@ -107,6 +110,17 @@ class ExecBackend(abc.ABC):
         """Replace the worker with one freshly built from ``spec``."""
 
     # -- shared surface ----------------------------------------------------
+
+    def register_metrics(self, registry, shard: int) -> None:
+        """Expose this backend on ``registry`` as shard ``shard``: its
+        latency histogram joins ``repro_exec_dispatch_seconds``."""
+        registry.histogram(
+            "repro_exec_dispatch_seconds",
+            "Per-backend submit-to-collect latency; under relaxed "
+            "dispatch this is the in-flight window.",
+            ["shard"],
+            buckets=LATENCY_BUCKETS,
+        ).attach((str(shard),), self.latency)
 
     @property
     def pending(self) -> int:

@@ -26,13 +26,16 @@ builtin or a service error; anything else degrades to
 from __future__ import annotations
 
 import asyncio
-import queue
-import threading
 import traceback
 from collections import deque
 from typing import Optional
 
-from ..net.transport import CALL_TIMEOUT, LoopThread, TcpTransport
+from ..net.transport import (
+    CALL_TIMEOUT,
+    LoopThread,
+    TcpTransport,
+    serve_on_thread,
+)
 from ..obs.metrics import MetricsRegistry
 from ..obs.process import register_process_metrics
 from ..obs.tracing import trace_scope
@@ -95,39 +98,13 @@ class ExecHost:
         self._active_sessions += 1
         self._idle.clear()
         try:
-            await self._serve_session(conn)
+            await serve_on_thread(
+                conn, _session_main, "repro-hub-worker", CALL_TIMEOUT
+            )
         finally:
             self._active_sessions -= 1
             if self._active_sessions == 0:
                 self._idle.set()
-
-    async def _serve_session(self, conn) -> None:
-        loop = asyncio.get_running_loop()
-        inbox: queue.Queue = queue.Queue()
-
-        def send_threadsafe(obj) -> None:
-            future = asyncio.run_coroutine_threadsafe(conn.send(obj), loop)
-            try:
-                future.result(CALL_TIMEOUT)
-            except Exception as exc:
-                raise ConnectionError(str(exc)) from exc
-
-        thread = threading.Thread(
-            target=_session_main,
-            args=(send_threadsafe, inbox.get),
-            name="repro-hub-worker",
-            daemon=True,
-        )
-        thread.start()
-        try:
-            while True:
-                message = await conn.recv()
-                inbox.put(message)
-                if message is None:
-                    break
-        finally:
-            inbox.put(None)  # a second EOF is harmless; worker exits once
-            await loop.run_in_executor(None, thread.join)
 
     async def close(self) -> None:
         if self._listener is not None:
@@ -142,10 +119,11 @@ class ExecHost:
                 pass
 
 
-def _session_main(send, recv) -> None:
+def _session_main(send, inbox) -> None:
     """One worker session: spawn, serve commands, close on EOF."""
     from ..persistence.codec import decode_value, encode_value  # deferred
 
+    recv = inbox.get
     worker = None
     commands = None
     try:
@@ -282,6 +260,10 @@ class ClusterBackend(ExecBackend):
             raise ExecWorkerError(
                 f"hub host refused spawn: {reply.get('error', reply)}"
             )
+
+    def register_metrics(self, registry, shard: int) -> None:
+        super().register_metrics(registry, shard)
+        self._transport.register_metrics(registry)
 
     # -- framed plumbing ---------------------------------------------------
 

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import asyncio
 import queue
-import threading
 import time
 from collections import deque
 from typing import List, Optional
@@ -85,9 +84,11 @@ from ..persistence.codec import (
     load_object_state,
     object_state,
 )
-from ..runtime import CommStats, Network, SpaceStats, TranscriptRecorder
+from ..runtime import CommStats, TranscriptRecorder
 from ..runtime.batching import decompose_runs
+from ..runtime.simulation import ProtocolStack
 from ..service.job import resolve_query
+from .transport import serve_on_thread
 from .wire import decode_chunk, decode_message, encode_chunk, encode_message
 
 __all__ = [
@@ -394,35 +395,19 @@ class SiteHost:
         return self._listener.address
 
     async def _serve(self, conn) -> None:
-        loop = asyncio.get_running_loop()
-        inbox: queue.Queue = queue.Queue()
+        post = _make_poster(conn, asyncio.get_running_loop())
 
-        def send_threadsafe(obj) -> None:
-            future = asyncio.run_coroutine_threadsafe(conn.send(obj), loop)
-            try:
-                future.result(DEFAULT_RPC_TIMEOUT)
-            except Exception as exc:
-                raise ConnectionError(str(exc)) from exc
+        def session(send, inbox) -> None:
+            SiteWorker(
+                send=send,
+                recv=inbox.get,
+                post=post,
+                recv_nowait=inbox.get_nowait,
+            ).run()
 
-        worker = SiteWorker(
-            send=send_threadsafe,
-            recv=inbox.get,
-            post=_make_poster(conn, loop),
-            recv_nowait=inbox.get_nowait,
+        await serve_on_thread(
+            conn, session, "repro-site-worker", DEFAULT_RPC_TIMEOUT
         )
-        thread = threading.Thread(
-            target=worker.run, name="repro-site-worker", daemon=True
-        )
-        thread.start()
-        try:
-            while True:
-                message = await conn.recv()
-                inbox.put(message)
-                if message is None:
-                    break
-        finally:
-            inbox.put(None)  # a second EOF is harmless; worker exits once
-            await loop.run_in_executor(None, thread.join)
 
     async def close(self) -> None:
         if self._listener is not None:
@@ -454,14 +439,16 @@ class SiteProxy:
         return self.last_space
 
 
-class CoordinatorHub:
+class CoordinatorHub(ProtocolStack):
     """The coordinator actor: protocol brain plus run sequencer.
 
     Owns the scheme's coordinator, the authoritative ``Network`` (ledger,
     loss injection, transcript tracer — the same objects the simulator
-    uses) and one transport connection per site actor.  Constructed
-    exactly like a :class:`~repro.runtime.Simulation` with the same
-    seed, so both produce identical protocol randomness.
+    uses) and one transport connection per site actor.  It is the same
+    :class:`~repro.runtime.simulation.ProtocolStack` a
+    :class:`~repro.runtime.Simulation` is, with a :class:`SiteProxy` in
+    each site's place, so equal seeds produce identical protocol
+    randomness.
 
     The protocol core is synchronous and runs on an executor thread
     behind the async public methods; asyncio pump tasks feed one
@@ -476,17 +463,21 @@ class CoordinatorHub:
         one_way: bool = False,
         uplink_drop_rate: float = 0.0,
         record_transcript: bool = True,
-        rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
         relaxed: bool = False,
         window: Optional[int] = None,
         per_site_depth: Optional[int] = None,
     ):
-        self.scheme = scheme
-        self.num_sites = num_sites
+        self.recorder: Optional[TranscriptRecorder] = (
+            TranscriptRecorder() if record_transcript else None
+        )
+        super().__init__(
+            scheme, num_sites, seed, one_way, uplink_drop_rate,
+            tracer=self.recorder,
+            make_site=lambda site_id: SiteProxy(site_id, self),
+        )
         self.seed = seed
         self.one_way = one_way
         self.uplink_drop_rate = uplink_drop_rate
-        self.rpc_timeout = rpc_timeout
         self.relaxed = bool(relaxed)
         # Relaxed dispatch's only bookkeeping: runs posted to each site
         # and not yet completed, under the in-flight credit bounds
@@ -507,22 +498,6 @@ class CoordinatorHub:
         self._stream_uplinks = self.relaxed and not getattr(
             scheme, "sync_uplinks", True
         )
-        # Mirrors Simulation.__init__ — same drop-seed derivation, same
-        # construction order — so transcripts can match byte for byte.
-        self.network = Network(
-            num_sites,
-            one_way=one_way,
-            uplink_drop_rate=uplink_drop_rate,
-            drop_seed=seed ^ 0x5EED,
-        )
-        self.recorder: Optional[TranscriptRecorder] = None
-        if record_transcript:
-            self.recorder = TranscriptRecorder().attach(self.network)
-        self.coordinator = scheme.make_coordinator(self.network, num_sites, seed)
-        self.proxies = [SiteProxy(site_id, self) for site_id in range(num_sites)]
-        self.network.bind(self.coordinator, self.proxies)
-        self.space = SpaceStats()
-        self.elements_processed = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._conns: List = [None] * num_sites
         # One shared inbox of (site_id, frame): per-site FIFO is
@@ -619,7 +594,7 @@ class CoordinatorHub:
             raise SiteUnavailableError(f"site {site_id} is down")
         future = asyncio.run_coroutine_threadsafe(conn.send(obj), self._loop)
         try:
-            future.result(self.rpc_timeout)
+            future.result(DEFAULT_RPC_TIMEOUT)
         except NetError:
             raise
         except Exception as exc:
@@ -658,20 +633,20 @@ class CoordinatorHub:
         uplinks run their cascade inline, ``run_done`` completes an
         outstanding posted run.
         """
-        deadline = time.monotonic() + self.rpc_timeout
+        deadline = time.monotonic() + DEFAULT_RPC_TIMEOUT
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise SiteUnavailableError(
                     f"site {site_id} did not respond within "
-                    f"{self.rpc_timeout}s"
+                    f"{DEFAULT_RPC_TIMEOUT}s"
                 )
             try:
                 sender, message = self._inbox.get(timeout=remaining)
             except queue.Empty:
                 raise SiteUnavailableError(
                     f"site {site_id} did not respond within "
-                    f"{self.rpc_timeout}s"
+                    f"{DEFAULT_RPC_TIMEOUT}s"
                 ) from None
             if message is None:
                 self._dead.add(sender)
@@ -789,7 +764,7 @@ class CoordinatorHub:
             if kind == "uplink":
                 self._uplink_sync(site_id, message)
             elif kind == "run_done":
-                self.proxies[site_id].last_space = message["space"]
+                self.sites[site_id].last_space = message["space"]
                 self.space.record_site(site_id, message["space"])
                 return message["n"]
             else:
@@ -837,7 +812,7 @@ class CoordinatorHub:
         if self.ledger.pending(site_id):
             self.ledger.complete(site_id)
         self._collected_n += message["n"]
-        self.proxies[site_id].last_space = message["space"]
+        self.sites[site_id].last_space = message["space"]
         self.space.record_site(site_id, message["space"])
 
     def _service_one(self) -> None:
@@ -854,14 +829,14 @@ class CoordinatorHub:
             self._uplink_sync(sender, frame)
             return
         try:
-            sender, message = self._inbox.get(timeout=self.rpc_timeout)
+            sender, message = self._inbox.get(timeout=DEFAULT_RPC_TIMEOUT)
         except queue.Empty:
             waiting = [
                 s for s in range(self.num_sites) if self.ledger.pending(s)
             ]
             raise SiteUnavailableError(
                 f"sites {waiting} did not finish their runs within "
-                f"{self.rpc_timeout}s"
+                f"{DEFAULT_RPC_TIMEOUT}s"
             ) from None
         if message is None:
             self._dead.add(sender)
@@ -1007,10 +982,6 @@ class CoordinatorHub:
         decoder.merge(self.network, state["network"])
         self.space = decoder.merge(self.space, state["space"])
         self.elements_processed = state["elements_processed"]
-
-    @property
-    def comm(self) -> CommStats:
-        return self.network.stats
 
     @property
     def dispatch_mode(self) -> str:

@@ -26,7 +26,7 @@ from ..persistence.codec import decode_value
 from ..persistence.recovery import CheckpointManager
 from ..persistence.snapshot import latest_snapshot
 from ..persistence.wal import REC_BATCH
-from ..runtime.batching import batch_from_stream
+from ..runtime.batching import batch_from_stream, batches_from_stream
 from .actors import CoordinatorHub, NetError, SiteHost
 from .transport import LoopbackTransport, LoopThread, TcpTransport
 
@@ -185,20 +185,10 @@ class Cluster:
 
     def run(self, stream, batch_size: int = 8192) -> int:
         """Drain an iterable of ``(site_id, item)`` pairs in batches."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        total = 0
-        site_ids: list = []
-        items: list = []
-        for site_id, item in stream:
-            site_ids.append(site_id)
-            items.append(item)
-            if len(site_ids) >= batch_size:
-                total += self.ingest(site_ids, items)
-                site_ids, items = [], []
-        if site_ids:
-            total += self.ingest(site_ids, items)
-        return total
+        return sum(
+            self.ingest(site_ids, items)
+            for site_ids, items in batches_from_stream(stream, batch_size)
+        )
 
     # -- results -----------------------------------------------------------
 

@@ -2,27 +2,10 @@
 
 A small asyncio HTTP/1.1 server (stdlib only — hand-rolled request
 parsing over ``asyncio.start_server``) exposing the
-:class:`~repro.service.TrackingService` surface:
-
-====== ========================== ========================================
-GET    /healthz                    liveness + ingest-queue gauges
-GET    /metrics                    Prometheus text exposition (open)
-GET    /v1/metrics                 the same registry as JSON
-GET    /v1/trace                   cross-process trace spans
-                                   (``?trace_id=``/``?name=``/``?limit=``)
-GET    /v1/alerts                  alert rules, states and recent events
-GET    /v1/status                  full service status (pods-style)
-GET    /v1/jobs                    registered jobs, compact
-POST   /v1/jobs                    register: ``{"name", "spec", ...}``
-DELETE /v1/jobs/<name>             unregister
-POST   /v1/ingest                  ``{"site_ids": [...], "items": [...]}``
-POST   /v1/query                   ``{"job", "method", "args"}``
-GET    /v1/query/<job>             ``?method=...&arg=...`` (repeatable)
-POST   /v1/subscribe               register a standing query (SSE)
-GET    /v1/subscriptions           live standing queries, compact
-DELETE /v1/subscribe/<id>          drop a standing query
-GET    /v1/stream/<id>             Server-Sent-Events delta stream
-====== ========================== ========================================
+:class:`~repro.service.TrackingService` surface.  The routes are the
+rows of :attr:`Gateway._ROUTES` (each says what it serves): the one
+table that dispatch, the 404 / 405 answers and the ``route`` label of
+the request metrics are all read from.
 
 Ingestion goes through the :class:`~repro.service.AsyncBatchIngestor`:
 requests are coalesced into engine batches and admission is bounded —
@@ -35,16 +18,16 @@ thread, so readers always see a batch boundary, and the event loop is
 never blocked by protocol work.
 
 **Observability.**  Each gateway owns a
-:class:`~repro.obs.MetricsRegistry` (pass ``registry=`` to share one):
-request counters/latency histograms per route template, rejection
-counters, queue gauges, plus scrape-time collector bridges into the
-service (``metrics_sample`` — engine totals, WAL bytes, per-job comm,
-per-shard space), the exec plane (per-backend dispatch-latency
-histograms, the pending-fence gauge) and cluster transports (frame and
-byte counters).  ``/metrics`` and ``/healthz`` read the same registry,
-so the two surfaces cannot disagree.  Scrapes run under the service
-lock; on a relaxed sharded facade they fence outstanding batches,
-exactly like ``/v1/status``.
+:class:`~repro.obs.MetricsRegistry` (pass ``registry=`` to share one)
+and declares only its own ``repro_gateway_*`` families on it: request
+counters/latency histograms per route template, rejection counters,
+queue gauges.  Every other layer — service, shard facade, exec
+backends, cluster transports, fleet monitor, alert manager — declares
+and bridges its own through ``register_metrics(registry)``
+(``docs/observability.md`` names each family's owner).  ``/metrics``
+and ``/healthz`` read the same registry, so the two surfaces cannot
+disagree.  Scrapes run under the service lock; on a relaxed sharded
+facade they fence outstanding batches, exactly like ``/v1/status``.
 
 **Standing queries.**  ``POST /v1/subscribe`` registers a spec —
 ``{"kind": "query", "job", "method", "args"}`` (delta on every change
@@ -88,9 +71,9 @@ from urllib.parse import parse_qsl, urlsplit
 from ..obs import (
     AlertManager,
     FleetMonitor,
-    FleetTarget,
     MetricsRegistry,
     SpanRecorder,
+    Subscription,
     SubscriptionHub,
     filter_spans,
     new_trace_id,
@@ -98,6 +81,7 @@ from ..obs import (
     render_prometheus,
     render_sse_event,
 )
+from ..obs.alerts import check_comparison, holds
 from ..obs.metrics import DEFAULT_BUCKETS, LATENCY_BUCKETS, SIZE_BUCKETS
 from ..obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
 from ..service import ServiceError, TrackingService
@@ -189,15 +173,6 @@ class _Raw:
         self.content_type = content_type
 
 
-class _SSEStream:
-    """Route-result marker: hijack this connection into an SSE stream."""
-
-    __slots__ = ("subscription",)
-
-    def __init__(self, subscription):
-        self.subscription = subscription
-
-
 def jsonable(value):
     """Make a query result JSON-renderable without losing structure.
 
@@ -223,44 +198,35 @@ def _key(key) -> str:
         return repr(key)
 
 
-def _route_template(path: str) -> str:
-    """Collapse a request path to its route template.
+class _Request:
+    """One parsed request; ``key`` (the authenticated API key) and
+    ``param`` (the route template's ``{parameter}``) are filled in on
+    the way to the handler."""
 
-    Request metrics are labelled by template (``/v1/query/{job}``, not
-    the literal path), so a client cycling job names or probing random
-    URLs cannot blow up the label cardinality.
-    """
-    if path in ("/healthz", "/metrics"):
-        return path
-    segments = [s for s in path.split("/") if s]
-    if segments[:1] == ["v1"] and len(segments) >= 2:
-        head = segments[1]
-        if head in (
-            "status", "metrics", "trace", "alerts", "ingest", "query",
-            "jobs", "subscribe", "subscriptions", "stream", "fleet",
-        ):
-            if len(segments) == 2:
-                return f"/v1/{head}"
-            if head == "fleet":
-                return "/v1/fleet/events"
-            if head == "jobs":
-                return "/v1/jobs/{name}"
-            if head == "query":
-                return "/v1/query/{job}"
-            if head == "subscribe":
-                return "/v1/subscribe/{id}"
-            if head == "stream":
-                return "/v1/stream/{id}"
-    return "other"
+    __slots__ = ("method", "path", "query", "headers", "body", "key", "param")
+
+    def __init__(self, method, path, query, headers, body):
+        self.method = method
+        self.path = path
+        #: a pair list: repeatable keys (``arg``) must survive
+        self.query = query
+        self.headers = headers
+        self.body = body
+        self.key = None
+        self.param = None
 
 
-#: comparison operators a threshold subscription may use
-_THRESHOLD_OPS = {
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-}
+def _route_table(*routes) -> dict:
+    """``{path: (template, {method: handler})}`` from ``(method,
+    template, handler)`` rows; a template ending in a ``{parameter}`` is
+    keyed by the 1-tuple of the path before it (no request path is a
+    tuple, so a literal lookup can never hit one)."""
+    table: dict = {}
+    for method, template, handler in routes:
+        head, _, last = template.rpartition("/")
+        key = (head,) if last.startswith("{") else template
+        table.setdefault(key, (template, {}))[1][method] = handler
+    return table
 
 
 class Gateway:
@@ -342,21 +308,17 @@ class Gateway:
         self.api_keys = dict(api_keys) if api_keys else None
         self._rate = max_ingest_rate
         self._burst = ingest_burst or capacity_events
-        self.rate_limiter: Optional[TokenBucket] = None
-        if max_ingest_rate is not None and self.api_keys is None:
-            self.rate_limiter = TokenBucket(max_ingest_rate, self._burst)
-        #: per-key token buckets (lazily created; auth mode only)
-        self.key_buckets: dict = {}
+        #: ingest token buckets by API key; ``None`` keys the gateway-wide
+        #: one charged without auth (built now, so a bad rate or burst
+        #: fails the launch; per-key ones on first use)
+        self._buckets: dict = {}
+        if max_ingest_rate is not None:
+            self._buckets[None] = TokenBucket(max_ingest_rate, self._burst)
         self._server: Optional[asyncio.base_events.Server] = None
-        #: the dispatch-plane span buffer (the facade's when sharded,
-        #: else a gateway-owned recorder so /v1/trace always answers).
-        #: Explicit None check: an empty SpanRecorder is falsy (__len__).
-        service_spans = getattr(service, "spans", None)
-        self.spans: SpanRecorder = (
-            service_spans if service_spans is not None else SpanRecorder()
-        )
-        # The ingestor records its per-round "round" spans here too, so
-        # gateway, facade and (unsharded) hub spans share one buffer.
+        #: the service's dispatch-plane span buffer.  The ingestor
+        #: records its per-round "round" spans here too, so gateway,
+        #: facade and (unsharded) hub spans share one buffer.
+        self.spans: SpanRecorder = service.spans
         self.ingestor.spans = self.spans
         #: hub-side spans already collected from remote shard hubs
         #: (collection *drains* their buffers, so the gateway retains
@@ -382,64 +344,28 @@ class Gateway:
         self._init_metrics()
 
     def _init_fleet(self, fleet_interval: float) -> FleetMonitor:
-        """One poll target per shard hub; the service itself unsharded.
+        """Heartbeat the service's poll targets (one per shard hub; the
+        service itself unsharded), each poll *under the ingest lock*.
 
-        Each poll posts ``hub_stats`` down the hub's command pipe
-        *under the ingest lock* — the pipes are FIFO and not safe
-        against interleaved dispatch, so polls queue behind coalescing
-        rounds exactly like scrapes and status reads do.  Liveness
-        transitions wake the evaluator (via ``call_soon_threadsafe``)
-        only when ``fleet``-kind alert rules exist: their values change
-        with time, not with ingest, so the ingest-driven wakeup alone
-        would never fire a hub-down alert on a quiet gateway.
+        Liveness transitions wake the evaluator (via
+        ``call_soon_threadsafe``) only when ``fleet``-kind alert rules
+        exist: their values change with time, not with ingest, so the
+        ingest-driven wakeup alone would never fire a hub-down alert on
+        a quiet gateway.
         """
-        targets = []
-        backends = list(getattr(self.service, "backends", None) or ())
-        if backends:
-            def make_poll(backend):
-                def poll():
-                    with self.ingestor.lock:
-                        return backend.dispatch_run("hub_stats")
-
-                return poll
-
-            for shard, backend in enumerate(backends):
-                targets.append(
-                    FleetTarget(
-                        str(shard),
-                        make_poll(backend),
-                        address=(
-                            getattr(backend, "address", None)
-                            or type(backend).__name__
-                        ),
-                        pending=(lambda b=backend: b.pending),
-                    )
-                )
-        else:
-            from ..exec.workers import hub_stats
-
-            def poll_local():
-                with self.ingestor.lock:
-                    return hub_stats(self.service)
-
-            targets.append(
-                FleetTarget("0", poll_local, address="in-process")
-            )
-        self._fleet_wakes = self.alerts is not None and any(
+        fleet_rules = self.alerts is not None and any(
             rule.spec.get("kind") == "fleet"
             for rule in self.alerts.rules.values()
         )
         return FleetMonitor(
-            targets,
+            self.service.fleet_targets(self.ingestor.lock),
             interval=fleet_interval,
             spans=self.spans,
-            on_round=self._on_fleet_round,
+            on_round=self._on_fleet_round if fleet_rules else None,
         )
 
     def _on_fleet_round(self) -> None:
         """Fleet-poll callback (monitor thread): nudge the evaluator."""
-        if not self._fleet_wakes:
-            return
         loop, dirty = self._loop, self._dirty
         if loop is None or dirty is None:
             return
@@ -451,7 +377,8 @@ class Gateway:
     # -- metrics wiring ----------------------------------------------------
 
     def _init_metrics(self) -> None:
-        """Declare the gateway's families and bridge every layer in.
+        """Declare the gateway's own families; every other layer
+        declares and bridges its own (``register_metrics``).
 
         Hot paths own plain counters or standalone instruments; the
         registry reaches them through ``set_function`` gauges,
@@ -461,6 +388,7 @@ class Gateway:
         r = self.registry
         register_process_metrics(r)
         self.fleet.register_metrics(r)
+        self.service.register_metrics(r, self._service_sample)
         self.m_requests = r.counter(
             "repro_gateway_requests_total",
             "HTTP requests served, by route template, method and status.",
@@ -527,145 +455,7 @@ class Gateway:
             "AsyncBatchIngestor running totals, by stat name.",
             ["stat"],
         )
-        # -- service layer (bridged from metrics_sample at scrape time)
-        self.m_service_elements = r.counter(
-            "repro_service_elements_total",
-            "Events applied to the service, all jobs observing each.",
-        )
-        self.m_engine_batches = r.counter(
-            "repro_service_ingest_batches_total",
-            "Engine calls (coalesced batches applied).",
-        )
-        self.m_engine_site_calls = r.counter(
-            "repro_service_ingest_site_calls_total",
-            "Site on_elements calls the engine made, over all jobs "
-            "(elements * jobs / this = mean slice per call).",
-        )
-        self.m_wal_bytes = r.counter(
-            "repro_service_wal_bytes_total",
-            "Bytes appended to write-ahead logs (0 without durability).",
-        )
-        self.m_wal_records = r.counter(
-            "repro_service_wal_records_total",
-            "Records appended to write-ahead logs.",
-        )
-        self.m_comm_messages = r.counter(
-            "repro_service_comm_messages_total",
-            "Protocol messages, fleet-wide, by channel.",
-            ["channel"],
-        )
-        self.m_comm_words = r.counter(
-            "repro_service_comm_words_total",
-            "Protocol words, fleet-wide, by channel.",
-            ["channel"],
-        )
-        self.m_job_elements = r.counter(
-            "repro_service_job_elements_total",
-            "Events observed per job.",
-            ["job"],
-        )
-        self.m_job_comm_words = r.counter(
-            "repro_service_job_comm_words_total",
-            "Protocol words per job (its own ledger).",
-            ["job"],
-        )
-        self.m_space_used = r.gauge(
-            "repro_shard_space_used_words",
-            "High-water site space per shard and job (max over the "
-            "shard's sites).",
-            ["shard", "job"],
-        )
-        self.m_space_available = r.gauge(
-            "repro_shard_space_available_words",
-            "Budget headroom per shard and job (budgeted jobs only).",
-            ["shard", "job"],
-        )
-        self.m_shard_elements = r.counter(
-            "repro_shard_elements_total",
-            "Events routed to each shard hub.",
-            ["shard"],
-        )
         r.register_collector(self._collect_queue_stats)
-        r.register_collector(self._collect_service)
-        # -- shard merge plane + exec plane (facade-owned instruments)
-        merge_latency = getattr(self.service, "merge_latency", None)
-        if merge_latency is not None:
-            fam = r.histogram(
-                "repro_shard_merge_seconds",
-                "Cross-shard query merge latency (fan-out included).",
-                buckets=DEFAULT_BUCKETS,
-            )
-            fam.attach((), merge_latency)
-            fam = r.histogram(
-                "repro_shard_merge_candidates",
-                "Candidate-union sizes of quantile/heavy-hitter/top-k "
-                "merges.",
-                buckets=SIZE_BUCKETS,
-            )
-            fam.attach((), self.service.merge_candidates)
-            fam = r.histogram(
-                "repro_shard_merge_fanouts",
-                "Fan-out rounds (one fenced round trip to every hub "
-                "each) per merged query.",
-                buckets=SIZE_BUCKETS,
-            )
-            fam.attach((), self.service.merge_fanouts)
-        backends = list(getattr(self.service, "backends", None) or ())
-        if backends:
-            fam = r.histogram(
-                "repro_exec_dispatch_seconds",
-                "Per-backend submit-to-collect latency; under relaxed "
-                "dispatch this is the in-flight window.",
-                ["shard"],
-                buckets=LATENCY_BUCKETS,
-            )
-            for shard, backend in enumerate(backends):
-                fam.attach((str(shard),), backend.latency)
-            r.gauge(
-                "repro_exec_pending_commands",
-                "Commands posted to shard hubs but not collected (the "
-                "pending-fence depth).",
-            ).set_function(lambda: self.service.pending_commands)
-        # -- windowed relaxed dispatch (facade-owned; see
-        #    docs/relaxed-mode.md → "Windowing")
-        coalesced = getattr(self.service, "coalesced_runs", None)
-        if coalesced is not None:
-            fam = r.histogram(
-                "repro_exec_coalesced_runs_per_frame",
-                "Run weight of each windowed sub-batch command posted "
-                "to a shard hub (runs riding one frame).",
-                buckets=SIZE_BUCKETS,
-            )
-            fam.attach((), coalesced)
-            r.gauge(
-                "repro_exec_inflight_runs",
-                "Runs posted under the relaxed window but not yet "
-                "collected.",
-            ).set_function(lambda: self.service.inflight_runs())
-            self.m_window_stalls = r.counter(
-                "repro_exec_window_stalls_total",
-                "Posts that collected an in-flight reply to free "
-                "window credit before proceeding.",
-            )
-            r.register_collector(self._collect_dispatch)
-        transports = [
-            backend._transport
-            for backend in backends
-            if getattr(backend, "_transport", None) is not None
-        ]
-        if transports:
-            self.m_net_bytes = r.counter(
-                "repro_net_bytes_total",
-                "Transport bytes over cluster-backend connections.",
-                ["direction"],
-            )
-            self.m_net_frames = r.counter(
-                "repro_net_frames_total",
-                "Transport frames over cluster-backend connections.",
-                ["direction"],
-            )
-            self._transports = transports
-            r.register_collector(self._collect_net)
 
     def _collect_queue_stats(self) -> None:
         for stat, value in self.ingestor.stats.items():
@@ -674,6 +464,8 @@ class Gateway:
             self.m_queue_stats.labels(stat).value = float(value)
 
     def _service_sample(self) -> dict:
+        """The service's ``metrics_sample`` (a fan-out on sharded
+        facades), shared by scrapes within ``_SAMPLE_TTL``."""
         now = time.monotonic()
         if (
             self._sample_cache is None
@@ -683,82 +475,10 @@ class Gateway:
             self._sample_time = now
         return self._sample_cache
 
-    def _collect_service(self) -> None:
-        sample = self._service_sample()
-        self.m_service_elements.labels().value = float(sample["elements"])
-        self.m_engine_batches.labels().value = float(
-            sample["engine"].get("batches", 0)
-        )
-        self.m_engine_site_calls.labels().value = float(
-            sample["engine"].get("site_calls", 0)
-        )
-        self.m_wal_bytes.labels().value = float(sample["wal_bytes"])
-        self.m_wal_records.labels().value = float(sample["wal_records"])
-        for channel in ("uplink", "downlink", "broadcast"):
-            self.m_comm_messages.labels(channel).value = float(
-                sample["comm"].get(f"{channel}_messages", 0)
-            )
-            self.m_comm_words.labels(channel).value = float(
-                sample["comm"].get(f"{channel}_words", 0)
-            )
-        for name, info in sample["jobs"].items():
-            self.m_job_elements.labels(name).value = float(info["elements"])
-            self.m_job_comm_words.labels(name).value = float(
-                info["comm"].get("total_words", 0)
-            )
-            budget = info.get("budget")
-            shards = info.get("shards") or [
-                {"shard": 0, "space": info["space"]}
-            ]
-            for entry in shards:
-                shard = str(entry["shard"])
-                used = entry["space"]["max_site_words"]
-                self.m_space_used.labels(shard, name).set(used)
-                if budget is not None:
-                    self.m_space_available.labels(shard, name).set(
-                        budget - used
-                    )
-        for entry in sample.get("shards") or [
-            {"shard": 0, "elements": sample["elements"]}
-        ]:
-            self.m_shard_elements.labels(str(entry["shard"])).value = float(
-                entry["elements"]
-            )
-
-    def _collect_dispatch(self) -> None:
-        """Bridge the facade's plain windowed-dispatch counters."""
-        self.m_window_stalls.labels().value = float(
-            self.service.dispatch_stats()["window_stalls"]
-        )
-
-    def _collect_net(self) -> None:
-        totals = {"sent": [0, 0], "received": [0, 0]}
-        for transport in self._transports:
-            stats = transport.stats
-            for direction in totals:
-                totals[direction][0] += stats.get(f"bytes_{direction}", 0)
-                totals[direction][1] += stats.get(f"frames_{direction}", 0)
-        for direction, (nbytes, nframes) in totals.items():
-            self.m_net_bytes.labels(direction).value = float(nbytes)
-            self.m_net_frames.labels(direction).value = float(nframes)
-
-    # -- rejection counters (registry-backed; /healthz reads these) --------
-
-    @property
-    def rejected_429(self) -> int:
-        return int(self.m_rejections.labels("429").value)
-
-    @property
-    def rejected_413(self) -> int:
-        return int(self.m_rejections.labels("413").value)
-
-    @property
-    def rejected_401(self) -> int:
-        return int(self.m_rejections.labels("401").value)
-
-    @property
-    def rejected_403(self) -> int:
-        return int(self.m_rejections.labels("403").value)
+    def _rejected(self, code: str) -> int:
+        """Requests refused with ``code`` so far (/healthz reads the
+        registry, so it cannot disagree with /metrics)."""
+        return int(self.m_rejections.labels(code).value)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -795,11 +515,6 @@ class Gateway:
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
 
     async def close(self) -> None:
         # stop heartbeating first: a poll in flight holds the ingest
@@ -852,17 +567,17 @@ class Gateway:
                     break
                 if request is None:
                     break
-                method, path, query, headers, body = request
+                method, headers = request.method, request.headers
                 extra_headers = None
-                route = _route_template(path)
+                route, methods, request.param = self._resolve(request.path)
                 inflight = self.m_inflight.labels(route)
                 inflight.inc()
                 started = time.perf_counter()
                 try:
                     try:
-                        key = self._authenticate(path, headers)
-                        status, payload = await self._route(
-                            method, path, query, body, key
+                        request.key = self._authenticate(request.path, headers)
+                        status, payload = await self._dispatch(
+                            route, methods, request
                         )
                     except _HttpError as exc:
                         status, payload = exc.status, {"error": exc.message}
@@ -885,12 +600,10 @@ class Gateway:
                 )
                 if status >= 500:
                     self.m_route_errors.labels(route).inc()
-                if isinstance(payload, _SSEStream):
+                if isinstance(payload, Subscription):
                     # Hijack: the connection becomes a one-way event
                     # stream and closes when either side gives up.
-                    await self._stream(
-                        reader, writer, payload.subscription, headers
-                    )
+                    await self._stream(reader, writer, payload, headers)
                     break
                 close = headers.get("connection", "").lower() == "close"
                 await self._respond(
@@ -937,8 +650,9 @@ class Gateway:
             raise _HttpError(413, f"body exceeds {_MAX_BODY} bytes")
         body = await reader.readexactly(length) if length else b""
         split = urlsplit(target)
-        # query stays a pair list: repeatable keys (``arg``) must survive
-        return method.upper(), split.path, parse_qsl(split.query), headers, body
+        return _Request(
+            method.upper(), split.path, parse_qsl(split.query), headers, body
+        )
 
     async def _respond(
         self, writer, status, payload, close, headers: Optional[dict] = None
@@ -1002,129 +716,55 @@ class Gateway:
     def _bucket_for(self, key: Optional[str]) -> Optional[TokenBucket]:
         """The token bucket charging this request's ingest quota.
 
-        Without auth there is one gateway-wide bucket; with auth each
-        key gets its own (created on first use), so one tenant's burst
+        Without auth ``key`` is ``None`` and there is one gateway-wide
+        bucket; with auth each key gets its own, so one tenant's burst
         cannot starve another's.
         """
         if self._rate is None:
             return None
-        if self.api_keys is None or key is None:
-            return self.rate_limiter
-        bucket = self.key_buckets.get(key)
+        bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = self.key_buckets[key] = TokenBucket(
-                self._rate, self._burst
-            )
+            bucket = self._buckets[key] = TokenBucket(self._rate, self._burst)
         return bucket
 
     # -- routing -----------------------------------------------------------
 
-    async def _route(self, method, path, query, body, key=None):
-        segments = [s for s in path.split("/") if s]
-        if path == "/healthz" and method == "GET":
-            return 200, {
-                "ok": True,
-                "elements": self.service.elements_processed,
-                "jobs": sorted(self.service.jobs),
-                "queue": dict(
-                    self.ingestor.stats,
-                    queued_events=self.ingestor.queued_events,
-                    capacity_events=self.ingestor.capacity_events,
-                ),
-                "quota": {
-                    "max_ingest_rate": self._rate,
-                    "rejected_429": self.rejected_429,
-                    "rejected_413": self.rejected_413,
-                },
-                "auth": {
-                    "enabled": self.api_keys is not None,
-                    "keys": (
-                        None if self.api_keys is None else len(self.api_keys)
-                    ),
-                    "rejected_401": self.rejected_401,
-                    "rejected_403": self.rejected_403,
-                },
-            }
-        if path == "/metrics" and method == "GET":
-            # Collect under the service lock so bridged samples land on
-            # batch boundaries (fences a relaxed facade, like /v1/status).
-            text = await self._locked(render_prometheus, self.registry)
-            return 200, _Raw(text, _PROMETHEUS_CONTENT_TYPE)
-        if segments[:1] != ["v1"]:
-            raise _HttpError(404, f"no route {path!r}")
-        rest = segments[1:]
-        if rest == ["metrics"] and method == "GET":
-            return 200, await self._locked(self.registry.as_dict)
-        if rest == ["trace"] and method == "GET":
-            return 200, await self._trace(dict(query))
-        if rest == ["alerts"] and method == "GET":
-            if self.alerts is None:
-                return 200, {
-                    "rules": [], "sinks": {}, "events": [],
-                    "dead_letters": [],
-                }
-            return 200, jsonable(self.alerts.describe())
-        if rest == ["fleet"] and method == "GET":
-            return 200, jsonable(self.fleet.snapshot())
-        if rest == ["fleet", "events"] and method == "GET":
-            params = dict(query)
-            try:
-                limit = int(params.get("limit", 0) or 0) or None
-            except ValueError:
-                raise _HttpError(400, "malformed limit") from None
-            return 200, {"events": jsonable(self.fleet.events(limit))}
-        if rest == ["subscribe"] and method == "POST":
-            return await self._subscribe(self._json_body(body))
-        if rest == ["subscriptions"] and method == "GET":
-            return 200, {
-                "subscriptions": [
-                    sub.describe() for sub in self.subscriptions.all()
-                ]
-            }
-        if len(rest) == 2 and rest[0] == "subscribe" and method == "DELETE":
-            if not self.subscriptions.unsubscribe(rest[1]):
-                raise _HttpError(404, f"no subscription {rest[1]!r}")
-            return 200, {"unsubscribed": rest[1]}
-        if len(rest) == 2 and rest[0] == "stream" and method == "GET":
-            subscription = self.subscriptions.get(rest[1])
-            if subscription is None:
-                raise _HttpError(404, f"no subscription {rest[1]!r}")
-            return 200, _SSEStream(subscription)
-        if rest == ["status"] and method == "GET":
-            return 200, jsonable(await self._locked(self.service.status))
-        if rest == ["jobs"]:
-            if method == "GET":
-                return 200, {
-                    "jobs": {
-                        name: {
-                            "scheme": job.scheme.name,
-                            "elements": job.elements_processed,
-                        }
-                        for name, job in self.service.jobs.items()
-                    }
-                }
-            if method == "POST":
-                return await self._register(self._json_body(body))
-            raise _HttpError(405, f"{method} not allowed on /v1/jobs")
-        if len(rest) == 2 and rest[0] == "jobs" and method == "DELETE":
-            await self._locked(self.service.unregister, rest[1])
-            return 200, {"unregistered": rest[1]}
-        if rest == ["ingest"] and method == "POST":
-            return await self._ingest(self._json_body(body), key)
-        if rest == ["query"] and method == "POST":
-            payload = self._json_body(body)
-            return await self._query(
-                payload.get("job"),
-                payload.get("method"),
-                payload.get("args") or [],
+    def _resolve(self, path: str):
+        """``(route template, {method: handler}, parameter)`` of a path.
+
+        The template is what request metrics are labelled by
+        (``/v1/query/{job}``, not the literal path; ``other`` for a path
+        no template matches), so a client cycling job names or probing
+        random URLs cannot blow up the label cardinality.  Under ``/v1``
+        doubled and trailing slashes are forgiven, and a path one
+        segment longer than a ``{parameter}`` template binds it.
+        """
+        entry = self._ROUTES.get(path)
+        param = None
+        if entry is None:
+            segments = [s for s in path.split("/") if s]
+            if segments[:1] == ["v1"]:
+                entry = self._ROUTES.get("/" + "/".join(segments))
+                if entry is None:
+                    param = segments.pop()
+                    entry = self._ROUTES.get(("/" + "/".join(segments),))
+        if entry is None:
+            return "other", {}, None
+        return entry[0], entry[1], param
+
+    async def _dispatch(self, route: str, methods: dict, request: _Request):
+        handler = methods.get(request.method)
+        if handler is not None:
+            return await handler(self, request)
+        # 405 only where the resource answers several methods — the
+        # surface clients already see; anything else is "no such route"
+        if len(methods) > 1:
+            raise _HttpError(405, f"{request.method} not allowed on {route}")
+        if [s for s in request.path.split("/") if s][:1] == ["v1"]:
+            raise _HttpError(
+                404, f"no route {request.method} {request.path!r}"
             )
-        if len(rest) == 2 and rest[0] == "query" and method == "GET":
-            params = dict(query)
-            args = [
-                parse_query_literal(value) for key, value in query if key == "arg"
-            ]
-            return await self._query(rest[1], params.get("method"), args)
-        raise _HttpError(404, f"no route {method} {path!r}")
+        raise _HttpError(404, f"no route {request.path!r}")
 
     # -- handlers ----------------------------------------------------------
 
@@ -1150,7 +790,77 @@ class Gateway:
 
         return await loop.run_in_executor(None, call)
 
-    async def _register(self, payload):
+    async def _get_healthz(self, request):
+        return 200, {
+            "ok": True,
+            "elements": self.service.elements_processed,
+            "jobs": sorted(self.service.jobs),
+            "queue": dict(
+                self.ingestor.stats,
+                queued_events=self.ingestor.queued_events,
+                capacity_events=self.ingestor.capacity_events,
+            ),
+            "quota": {
+                "max_ingest_rate": self._rate,
+                "rejected_429": self._rejected("429"),
+                "rejected_413": self._rejected("413"),
+            },
+            "auth": {
+                "enabled": self.api_keys is not None,
+                "keys": (
+                    None if self.api_keys is None else len(self.api_keys)
+                ),
+                "rejected_401": self._rejected("401"),
+                "rejected_403": self._rejected("403"),
+            },
+        }
+
+    async def _get_metrics(self, request):
+        # Collect under the service lock so bridged samples land on
+        # batch boundaries (fences a relaxed facade, like /v1/status).
+        text = await self._locked(render_prometheus, self.registry)
+        return 200, _Raw(text, _PROMETHEUS_CONTENT_TYPE)
+
+    async def _get_metrics_json(self, request):
+        return 200, await self._locked(self.registry.as_dict)
+
+    async def _get_alerts(self, request):
+        if self.alerts is None:
+            return 200, {
+                "rules": [], "sinks": {}, "events": [], "dead_letters": [],
+            }
+        return 200, jsonable(self.alerts.describe())
+
+    async def _get_fleet(self, request):
+        return 200, jsonable(self.fleet.snapshot())
+
+    async def _get_fleet_events(self, request):
+        try:
+            limit = int(dict(request.query).get("limit", 0) or 0) or None
+        except ValueError:
+            raise _HttpError(400, "malformed limit") from None
+        return 200, {"events": jsonable(self.fleet.events(limit))}
+
+    async def _get_status(self, request):
+        return 200, jsonable(await self._locked(self.service.status))
+
+    async def _get_jobs(self, request):
+        return 200, {
+            "jobs": {
+                name: {
+                    "scheme": job.scheme.name,
+                    "elements": job.elements_processed,
+                }
+                for name, job in self.service.jobs.items()
+            }
+        }
+
+    async def _delete_job(self, request):
+        await self._locked(self.service.unregister, request.param)
+        return 200, {"unregistered": request.param}
+
+    async def _post_job(self, request):
+        payload = self._json_body(request.body)
         name = payload.get("name")
         spec = payload.get("spec")
         if not name or not isinstance(name, str):
@@ -1175,7 +885,8 @@ class Gateway:
             "scheme": scheme.name,
         }
 
-    async def _ingest(self, payload, key=None):
+    async def _post_ingest(self, request):
+        payload, key = self._json_body(request.body), request.key
         site_ids = payload.get("site_ids")
         if not isinstance(site_ids, list) or not site_ids:
             raise _HttpError(400, "ingest needs a non-empty 'site_ids' list")
@@ -1225,7 +936,7 @@ class Gateway:
             "trace_id": trace_id,
         }
 
-    async def _trace(self, params: dict):
+    async def _get_trace(self, request):
         """``GET /v1/trace``: the stitched cross-process span view.
 
         Gathers gateway-side spans (rounds, dispatch/fence/merge) and
@@ -1233,6 +944,7 @@ class Gateway:
         then retained), merges them in start order, and applies the
         ``?name=`` / ``?trace_id=`` / ``?limit=`` filters.
         """
+        params = dict(request.query)
         limit = params.get("limit")
         if limit is not None:
             try:
@@ -1248,24 +960,37 @@ class Gateway:
             trace_id=params.get("trace_id"),
             limit=limit,
         )
-        return {"spans": jsonable(spans)}
+        return 200, {"spans": jsonable(spans)}
 
     def _stitched_spans(self) -> list:
         """Merge gateway- and hub-side spans (runs under the lock).
 
         ``collect_spans`` *drains* hub buffers (fencing relaxed batches
         like any collecting command), so collected spans are retained
-        in a gateway-side ring — repeated reads keep seeing them.  On
-        an unsharded service the hub recorder *is* ``self.spans`` and
-        there is nothing to collect.
+        in a gateway-side ring — repeated reads keep seeing them.  (An
+        unsharded service records straight into ``self.spans`` and
+        collects nothing.)
         """
-        collect = getattr(self.service, "collect_spans", None)
-        if collect is not None:
-            for span in collect():
-                self._hub_spans.append(span)
+        self._hub_spans.extend(self.service.collect_spans())
         merged = list(self.spans.dump()) + list(self._hub_spans)
         merged.sort(key=lambda s: s.get("start") or 0.0)
         return merged
+
+    async def _post_query(self, request):
+        payload = self._json_body(request.body)
+        return await self._query(
+            payload.get("job"), payload.get("method"), payload.get("args") or []
+        )
+
+    async def _get_query(self, request):
+        args = [
+            parse_query_literal(value)
+            for key, value in request.query
+            if key == "arg"
+        ]
+        return await self._query(
+            request.param, dict(request.query).get("method"), args
+        )
 
     async def _query(self, job, method, args):
         if not job or not isinstance(job, str):
@@ -1307,21 +1032,12 @@ class Gateway:
             raise _HttpError(400, "'args' must be a list")
         spec.update({"job": job, "method": payload.get("method"), "args": args})
         if kind == "threshold":
-            op = payload.get("op")
-            if op not in _THRESHOLD_OPS:
-                raise _HttpError(
-                    400,
-                    f"threshold 'op' must be one of "
-                    f"{sorted(_THRESHOLD_OPS)}",
-                )
-            value = payload.get("value")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise _HttpError(400, "threshold 'value' must be a number")
-            spec.update({"op": op, "value": value})
+            check_comparison(payload, "threshold")  # ValueError -> 400
+            spec.update({"op": payload["op"], "value": payload["value"]})
         return spec
 
-    async def _subscribe(self, payload: dict):
-        spec = self._validate_spec(payload)
+    async def _post_subscribe(self, request):
+        spec = self._validate_spec(self._json_body(request.body))
         try:
             sub = self.subscriptions.subscribe(spec)
         except OverflowError as exc:
@@ -1340,53 +1056,58 @@ class Gateway:
             "value": jsonable(sub.last_value),
         }
 
-    def _evaluate_spec(self, spec: dict):
-        """Evaluate one standing query (runs under the service lock)."""
-        if spec["kind"] == "metrics":
-            return self._metric_total(spec["metric"])
-        value = self.service.query(
-            spec["job"], spec["method"], *spec["args"]
-        )
-        if spec["kind"] == "query":
-            return jsonable(value)
-        crossed = _THRESHOLD_OPS[spec["op"]](float(value), float(spec["value"]))
-        return {
-            "crossed": crossed,
-            "value": float(value),
-            "op": spec["op"],
-            "threshold": spec["value"],
+    async def _get_subscriptions(self, request):
+        return 200, {
+            "subscriptions": [
+                sub.describe() for sub in self.subscriptions.all()
+            ]
         }
 
-    def _rule_value(self, spec: dict) -> float:
-        """One alert rule's raw value (runs under the service lock).
+    async def _delete_subscription(self, request):
+        if not self.subscriptions.unsubscribe(request.param):
+            raise _HttpError(404, f"no subscription {request.param!r}")
+        return 200, {"unsubscribed": request.param}
 
-        ``threshold`` rules evaluate a job query, ``metrics`` rules a
-        registry family total, ``fleet`` rules a liveness/capacity
-        quantity from the fleet monitor, and ``error_bound`` rules the
-        composed accuracy accounting — the facade's ``error_bound``
-        when it has one, else the paper's ``epsilon * n`` directly.
+    async def _get_stream(self, request):
+        subscription = self.subscriptions.get(request.param)
+        if subscription is None:
+            raise _HttpError(404, f"no subscription {request.param!r}")
+        return 200, subscription  # _handle streams it
+
+    def _raw_value(self, spec: dict):
+        """What a standing query or an alert rule is about, before any
+        comparison (runs under the service lock).
+
+        ``metrics`` reads a registry family total, ``fleet`` a
+        liveness/capacity quantity from the fleet monitor,
+        ``error_bound`` the service's additive error accounting (the
+        paper's ``epsilon * n``, composed across shards), and
+        ``threshold`` / ``query`` a job query.
         """
         kind = spec.get("kind", "threshold")
         if kind == "metrics":
-            return float(self._metric_total(spec["metric"]))
+            return self._metric_total(spec["metric"])
         if kind == "fleet":
-            return float(self.fleet.rule_value(spec["metric"]))
+            return self.fleet.rule_value(spec["metric"])
         if kind == "error_bound":
-            error_bound = getattr(self.service, "error_bound", None)
-            if error_bound is not None:
-                return float(error_bound(spec["job"])["bound"])
-            job = self.service.job(spec["job"])
-            epsilon = getattr(job.scheme, "epsilon", None)
-            if epsilon is None:
-                raise ValueError(
-                    f"job {spec['job']!r} scheme has no epsilon"
-                )
-            return float(epsilon) * job.elements_processed
-        return float(
-            self.service.query(
-                spec["job"], spec.get("method"), *(spec.get("args") or ())
-            )
+            return self.service.error_bound(spec["job"])["bound"]
+        return self.service.query(
+            spec["job"], spec.get("method"), *(spec.get("args") or ())
         )
+
+    def _evaluate_spec(self, spec: dict):
+        """Evaluate one standing query (runs under the service lock)."""
+        value = self._raw_value(spec)
+        if spec["kind"] == "query":
+            return jsonable(value)
+        if spec["kind"] == "threshold":
+            return {
+                "crossed": holds(spec, value),
+                "value": float(value),
+                "op": spec["op"],
+                "threshold": spec["value"],
+            }
+        return value
 
     def _metric_total(self, name: str) -> float:
         """One metric family's total over all children (count for
@@ -1435,23 +1156,21 @@ class Gateway:
             def eval_all(subs=subs, rules=rules):
                 results = []
                 rule_values = {}
-                with self.ingestor.lock:
-                    for sub in subs:
-                        try:
-                            results.append((sub, self._evaluate_spec(sub.spec), None))
-                        except Exception as exc:
-                            results.append((sub, None, exc))
-                    for rule in rules:
-                        try:
-                            rule_values[rule.name] = self._rule_value(
-                                rule.spec
-                            )
-                        except Exception:
-                            rule_values[rule.name] = None
+                for sub in subs:
+                    try:
+                        results.append((sub, self._evaluate_spec(sub.spec), None))
+                    except Exception as exc:
+                        results.append((sub, None, exc))
+                for rule in rules:
+                    try:
+                        rule_values[rule.name] = float(
+                            self._raw_value(rule.spec)
+                        )
+                    except Exception:
+                        rule_values[rule.name] = None
                 return results, rule_values
 
-            loop = asyncio.get_running_loop()
-            results, rule_values = await loop.run_in_executor(None, eval_all)
+            results, rule_values = await self._locked(eval_all)
             if rules:
                 self.alerts.step(rule_values, trace_id=self._last_trace_id)
                 # A quiet gateway must still complete pending -> firing:
@@ -1460,7 +1179,9 @@ class Gateway:
                 deadline = self.alerts.pending_deadline()
                 if deadline is not None:
                     delay = max(0.0, deadline - time.monotonic()) + 0.02
-                    loop.call_later(delay, self._dirty.set)
+                    asyncio.get_running_loop().call_later(
+                        delay, self._dirty.set
+                    )
             elements = self.service.elements_processed
             for sub, value, error in results:
                 if self.subscriptions.get(sub.sid) is not sub:
@@ -1506,18 +1227,20 @@ class Gateway:
             "Cache-Control: no-cache\r\n"
             "Connection: close\r\n\r\n"
         )
+
+        def emit(data, **fields) -> None:
+            writer.write(render_sse_event(data, **fields).encode())
+
         queue = sub.attach_listener()
         self._stream_writers.add(writer)
         eof_task = asyncio.ensure_future(reader.read(1))
         get_task = None
         try:
             writer.write(head.encode("latin-1"))
-            writer.write(
-                render_sse_event(
-                    json.dumps({"subscription": sub.sid}),
-                    event="hello",
-                    retry=_SSE_RETRY_MS,
-                ).encode()
+            emit(
+                json.dumps({"subscription": sub.sid}),
+                event="hello",
+                retry=_SSE_RETRY_MS,
             )
             last_id = headers.get("last-event-id")
             if last_id is not None:
@@ -1527,11 +1250,7 @@ class Gateway:
                     last = None
                 if last is not None:
                     for event_id, event, data in sub.replay_after(last):
-                        writer.write(
-                            render_sse_event(
-                                data, event=event, id=event_id
-                            ).encode()
-                        )
+                        emit(data, event=event, id=event_id)
             await writer.drain()
             while True:
                 if get_task is None:
@@ -1546,11 +1265,7 @@ class Gateway:
                 if get_task in done:
                     event_id, event, data = get_task.result()
                     get_task = None
-                    writer.write(
-                        render_sse_event(
-                            data, event=event, id=event_id
-                        ).encode()
-                    )
+                    emit(data, event=event, id=event_id)
                 else:
                     writer.write(b": keep-alive\n\n")
                 await writer.drain()
@@ -1562,6 +1277,41 @@ class Gateway:
             for task in (eof_task, get_task):
                 if task is not None and not task.done():
                     task.cancel()
+
+
+    #: The route set, written down once: dispatch, the 404 / 405 answers
+    #: and the ``route`` metric label are read from here.  ``/healthz``
+    #: and ``/metrics`` stay open when API keys are on.
+    _ROUTES = _route_table(
+        # liveness + ingest-queue gauges
+        ("GET", "/healthz", _get_healthz),
+        # the registry: Prometheus text exposition, and the same as JSON
+        ("GET", "/metrics", _get_metrics),
+        ("GET", "/v1/metrics", _get_metrics_json),
+        # cross-process trace spans (?trace_id= / ?name= / ?limit=)
+        ("GET", "/v1/trace", _get_trace),
+        # alert rules, states and recent events
+        ("GET", "/v1/alerts", _get_alerts),
+        # hub liveness + capacity, and its transitions (?limit=)
+        ("GET", "/v1/fleet", _get_fleet),
+        ("GET", "/v1/fleet/events", _get_fleet_events),
+        # full service status (pods-style)
+        ("GET", "/v1/status", _get_status),
+        # the registry: list, register {"name", "spec", ...}, unregister
+        ("GET", "/v1/jobs", _get_jobs),
+        ("POST", "/v1/jobs", _post_job),
+        ("DELETE", "/v1/jobs/{name}", _delete_job),
+        # {"site_ids": [...], "items": [...]}
+        ("POST", "/v1/ingest", _post_ingest),
+        # {"job", "method", "args"}, or ?method=...&arg=... (repeatable)
+        ("POST", "/v1/query", _post_query),
+        ("GET", "/v1/query/{job}", _get_query),
+        # standing queries: register, list, drop, and the SSE delta stream
+        ("POST", "/v1/subscribe", _post_subscribe),
+        ("GET", "/v1/subscriptions", _get_subscriptions),
+        ("DELETE", "/v1/subscribe/{id}", _delete_subscription),
+        ("GET", "/v1/stream/{id}", _get_stream),
+    )
 
 
 class GatewayThread:

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import queue
 import threading
 from collections import deque
-from typing import Dict
+from typing import Callable, Dict
 
 from .frames import FrameDecoder, decode_payload, encode_frame, encode_payload
 
@@ -48,6 +49,7 @@ __all__ = [
     "TcpTransport",
     "parse_address",
     "format_address",
+    "serve_on_thread",
 ]
 
 _EOF = object()
@@ -116,6 +118,44 @@ class LoopThread:
         self._thread.join(timeout=30)
         if not self._thread.is_alive():
             self._loop.close()
+
+
+async def serve_on_thread(
+    conn, session: Callable, name: str, timeout: float
+) -> None:
+    """Serve one connection with a blocking ``session`` on its own thread.
+
+    The hosts' side of :class:`LoopThread`: protocol work runs on a
+    daemon thread called ``name`` while the event loop only pumps
+    frames.  ``session(send, inbox)`` gets a ``send(obj)`` that ships
+    one message from that thread (a :class:`ConnectionError` if it is
+    not on the wire within ``timeout`` seconds) and the ``queue.Queue``
+    inbound messages land in, ``None`` marking EOF.  Returns once the
+    peer hung up and the session thread finished.
+    """
+    loop = asyncio.get_running_loop()
+    inbox: queue.Queue = queue.Queue()
+
+    def send(obj) -> None:
+        future = asyncio.run_coroutine_threadsafe(conn.send(obj), loop)
+        try:
+            future.result(timeout)
+        except Exception as exc:
+            raise ConnectionError(str(exc)) from exc
+
+    thread = threading.Thread(
+        target=session, args=(send, inbox), name=name, daemon=True
+    )
+    thread.start()
+    try:
+        while True:
+            message = await conn.recv()
+            inbox.put(message)
+            if message is None:
+                break
+    finally:
+        inbox.put(None)  # a second EOF is harmless; the session exits once
+        await loop.run_in_executor(None, thread.join)
 
 
 class _LoopbackConnection:
@@ -328,6 +368,35 @@ class TcpTransport:
 
     def __init__(self):
         self.stats = _fresh_stats()
+
+    def register_metrics(self, registry) -> None:
+        """Declare the ``repro_net_*`` families on ``registry`` and add
+        this transport's traffic to them at every scrape (each transport
+        contributes what it carried since its last one, so several on
+        one registry sum)."""
+        families = {
+            "bytes": registry.counter(
+                "repro_net_bytes_total",
+                "Transport bytes over cluster-backend connections.",
+                ["direction"],
+            ),
+            "frames": registry.counter(
+                "repro_net_frames_total",
+                "Transport frames over cluster-backend connections.",
+                ["direction"],
+            ),
+        }
+        seen = _fresh_stats()
+
+        def collect() -> None:
+            for unit, family in families.items():
+                for direction in ("sent", "received"):
+                    key = f"{unit}_{direction}"
+                    now = self.stats[key]
+                    family.labels(direction).inc(now - seen[key])
+                    seen[key] = now
+
+        registry.register_collector(collect)
 
     async def listen(self, address: str, handler) -> _TcpListener:
         host, port = parse_address(address)

@@ -57,14 +57,32 @@ __all__ = [
     "WebhookSink",
 ]
 
-#: comparison operators an alert predicate may use (the same set the
-#: gateway's threshold subscriptions accept)
+#: comparison operators of a predicate — alert rules and the gateway's
+#: threshold subscriptions both validate and evaluate against this table
 COMPARISONS = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
 }
+
+
+def check_comparison(spec: dict, what: str) -> None:
+    """Reject a predicate whose ``op`` / ``value`` cannot be evaluated;
+    ``what`` names the predicate in the message."""
+    if spec.get("op") not in COMPARISONS:
+        raise ValueError(
+            f"{what} 'op' must be one of {sorted(COMPARISONS)}"
+        )
+    value = spec.get("value")
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{what} 'value' must be a number")
+
+
+def holds(spec: dict, value: float) -> bool:
+    """Does the raw ``value`` satisfy the predicate ``spec`` states?"""
+    return COMPARISONS[spec["op"]](float(value), float(spec["value"]))
+
 
 #: rule predicate sources and the fields each requires
 _RULE_KINDS = {
@@ -248,13 +266,7 @@ class AlertRule:
                 raise ValueError(
                     f"rule {name!r} ({kind}) needs a {field!r} string"
                 )
-        if spec.get("op") not in COMPARISONS:
-            raise ValueError(
-                f"rule {name!r}: 'op' must be one of {sorted(COMPARISONS)}"
-            )
-        value = spec.get("value")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"rule {name!r}: 'value' must be a number")
+        check_comparison(spec, f"rule {name!r}:")
         if for_s < 0 or rearm_s < 0:
             raise ValueError(
                 f"rule {name!r}: 'for' and 'rearm' must be >= 0"
@@ -273,9 +285,7 @@ class AlertRule:
 
     def active(self, value: float) -> bool:
         """Does ``value`` satisfy the rule's predicate?"""
-        return COMPARISONS[self.spec["op"]](
-            float(value), float(self.spec["value"])
-        )
+        return holds(self.spec, value)
 
     def step(self, value: float, now: float) -> Optional[str]:
         """Advance the state machine one evaluation; returns the emitted

@@ -40,7 +40,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-__all__ = ["SiteBatch", "decompose_runs", "batch_from_stream"]
+__all__ = [
+    "SiteBatch",
+    "decompose_runs",
+    "batch_from_stream",
+    "batches_from_stream",
+    "normalize_items",
+]
 
 
 def batch_from_stream(stream) -> Tuple[list, list]:
@@ -59,7 +65,26 @@ def batch_from_stream(stream) -> Tuple[list, list]:
     return site_ids, items
 
 
-def _item_list(items, n: int) -> Optional[list]:
+def batches_from_stream(stream, batch_size: int):
+    """Chunk an iterable of ``(site_id, item)`` pairs, in order, into
+    ``(site_ids, items)`` list pairs of ``batch_size`` events (the last
+    one may be shorter) — what every ``ingest_stream``-style driver
+    feeds its ``ingest``."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    site_ids: list = []
+    items: list = []
+    for site_id, item in stream:
+        site_ids.append(site_id)
+        items.append(item)
+        if len(site_ids) >= batch_size:
+            yield site_ids, items
+            site_ids, items = [], []
+    if site_ids:
+        yield site_ids, items
+
+
+def normalize_items(items, n: int) -> Optional[list]:
     """Normalize the item carrier to a plain list (or None for count-style
     streams, where every element is the unit item ``1``)."""
     if items is None:
@@ -111,7 +136,7 @@ class SiteBatch:
             ids = site_ids.astype(_np.int64)
         n = int(ids.shape[0])
         self.n = n
-        self.items = _item_list(items, n)
+        self.items = normalize_items(items, n)
         self._ids = ids
         if n == 0:
             self.run_starts, self.run_sites = [0], []
@@ -177,7 +202,7 @@ def decompose_runs(
         starts = _np.concatenate(([0], change + 1)).tolist()
         run_sites = site_ids[starts].tolist()
         ends = starts[1:] + [n]
-        item_list = _item_list(items, n)
+        item_list = normalize_items(items, n)
         if item_list is None:
             return [
                 (s, [1] * (b - a))
@@ -191,7 +216,7 @@ def decompose_runs(
     n = len(sids)
     if n == 0:
         return []
-    item_list = _item_list(items, n)
+    item_list = normalize_items(items, n)
     runs: List[Tuple[int, list]] = []
     i = 0
     while i < n:

@@ -17,10 +17,70 @@ from .metrics import SpaceStats
 from .network import Network
 from .scheme import TrackingScheme
 
-__all__ = ["Simulation"]
+__all__ = ["ProtocolStack", "Simulation"]
 
 
-class Simulation:
+class ProtocolStack:
+    """One scheme instantiated over one network.
+
+    The network (ledger and loss stream, seeded from ``seed``), the
+    scheme's coordinator, its ``num_sites`` sites, all bound, plus the
+    space ledger.  A :class:`Simulation`, a service job and the
+    distributed runtime's coordinator hub are each built here, in this
+    order, so equal seeds give them equal protocol randomness and equal
+    loss.
+
+    ``mirror`` (an extra :class:`~repro.runtime.CommStats` every charge
+    is copied to) and ``tracer`` (see :meth:`Network.set_tracer`) are
+    attached before the coordinator exists; ``make_site(site_id)``
+    substitutes stand-ins for the scheme's own sites.
+    """
+
+    def __init__(
+        self,
+        scheme: TrackingScheme,
+        num_sites: int,
+        seed: int = 0,
+        one_way: bool = False,
+        uplink_drop_rate: float = 0.0,
+        mirror=None,
+        tracer=None,
+        make_site: Optional[Callable[[int], object]] = None,
+    ):
+        self.scheme = scheme
+        self.num_sites = num_sites
+        self.network = Network(
+            num_sites,
+            one_way=one_way,
+            uplink_drop_rate=uplink_drop_rate,
+            drop_seed=seed ^ 0x5EED,
+        )
+        if mirror is not None:
+            self.network.attach_mirror(mirror)
+        if tracer is not None:
+            self.network.set_tracer(tracer)
+        self.coordinator = scheme.make_coordinator(self.network, num_sites, seed)
+        if make_site is None:
+            def make_site(site_id):
+                return scheme.make_site(self.network, site_id, num_sites, seed)
+        self.sites = [make_site(site_id) for site_id in range(num_sites)]
+        self.network.bind(self.coordinator, self.sites)
+        self.space = SpaceStats()
+        self.elements_processed = 0
+
+    def sample_space(self) -> None:
+        """Record current space of every site and the coordinator."""
+        for site in self.sites:
+            self.space.record_site(site.site_id, site.space_words())
+        self.space.record_coordinator(self.coordinator.space_words())
+
+    @property
+    def comm(self):
+        """The communication ledger (:class:`CommStats`)."""
+        return self.network.stats
+
+
+class Simulation(ProtocolStack):
     """Drive a :class:`TrackingScheme` over a stream of events.
 
     Parameters
@@ -50,25 +110,8 @@ class Simulation:
         space_sample_interval: int = 64,
         uplink_drop_rate: float = 0.0,
     ):
-        self.scheme = scheme
-        self.num_sites = num_sites
-        self.network = Network(
-            num_sites,
-            one_way=one_way,
-            uplink_drop_rate=uplink_drop_rate,
-            drop_seed=seed ^ 0x5EED,
-        )
-        self.coordinator = scheme.make_coordinator(self.network, num_sites, seed)
-        self.sites = [
-            scheme.make_site(self.network, site_id, num_sites, seed)
-            for site_id in range(num_sites)
-        ]
-        self.network.bind(self.coordinator, self.sites)
-        self.space = SpaceStats()
+        super().__init__(scheme, num_sites, seed, one_way, uplink_drop_rate)
         self.space_sample_interval = max(1, space_sample_interval)
-        self.elements_processed = 0
-        # Which site received each element is only needed for space
-        # sampling of the *active* site; we sample all sites periodically.
 
     # -- driving the stream ----------------------------------------------
 
@@ -122,18 +165,7 @@ class Simulation:
             self, SiteBatch(site_ids, items), self.space_sample_interval
         )
 
-    def sample_space(self) -> None:
-        """Record current space of every site and the coordinator."""
-        for site in self.sites:
-            self.space.record_site(site.site_id, site.space_words())
-        self.space.record_coordinator(self.coordinator.space_words())
-
     # -- results -----------------------------------------------------------
-
-    @property
-    def comm(self):
-        """The communication ledger (:class:`CommStats`)."""
-        return self.network.stats
 
     def summary(self) -> dict:
         """A flat dict of cost metrics, for table rows."""

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..runtime import CommStats, Network, SpaceStats, TrackingScheme
+from ..runtime import CommStats, TrackingScheme
+from ..runtime.simulation import ProtocolStack
 
 __all__ = [
     "TrackingJob",
@@ -87,13 +88,14 @@ def resolve_query(coordinator, method):
     return fn
 
 
-class TrackingJob:
+class TrackingJob(ProtocolStack):
     """A named tracking workload multiplexed over the shared site fleet.
 
-    Exposes the same driving surface as :class:`~repro.runtime.Simulation`
-    (``sites``, ``network``, ``scheme``, ``space``, ``elements_processed``,
-    ``sample_space``) so the batched ingestion engine can drive either
-    interchangeably.
+    The same :class:`~repro.runtime.simulation.ProtocolStack` a
+    :class:`~repro.runtime.Simulation` is, so the batched ingestion
+    engine drives either interchangeably and a job is
+    transcript-identical to a standalone simulation with its seed;
+    :attr:`comm` is this job's own ledger (its traffic only).
     """
 
     def __init__(
@@ -107,41 +109,12 @@ class TrackingJob:
         mirror: Optional[CommStats] = None,
         space_budget_words: Optional[int] = None,
     ):
-        self.name = name
-        self.scheme = scheme
-        self.seed = seed
-        # Same drop-seed derivation as Simulation, so a job and a
-        # standalone simulation with identical seeds see identical loss.
-        self.network = Network(
-            num_sites,
-            one_way=one_way,
-            uplink_drop_rate=uplink_drop_rate,
-            drop_seed=seed ^ 0x5EED,
+        super().__init__(
+            scheme, num_sites, seed, one_way, uplink_drop_rate, mirror=mirror
         )
-        if mirror is not None:
-            self.network.attach_mirror(mirror)
-        self.coordinator = scheme.make_coordinator(self.network, num_sites, seed)
-        self.sites = [
-            scheme.make_site(self.network, site_id, num_sites, seed)
-            for site_id in range(num_sites)
-        ]
-        self.network.bind(self.coordinator, self.sites)
-        self.space = SpaceStats()
+        self.name = name
+        self.seed = seed
         self.space_budget_words = space_budget_words
-        self.elements_processed = 0
-
-    # -- accounting --------------------------------------------------------
-
-    def sample_space(self) -> None:
-        """Record current space of every site and the coordinator."""
-        for site in self.sites:
-            self.space.record_site(site.site_id, site.space_words())
-        self.space.record_coordinator(self.coordinator.space_words())
-
-    @property
-    def comm(self) -> CommStats:
-        """This job's communication ledger (its traffic only)."""
-        return self.network.stats
 
     # -- queries -----------------------------------------------------------
 

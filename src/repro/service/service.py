@@ -19,16 +19,126 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional
 
+from ..obs.fleet import FleetTarget
 from ..obs.tracing import SpanRecorder, current_trace
 from ..runtime import CommStats, TrackingScheme, derive_seed
-from ..runtime.batching import batch_from_stream
+from ..runtime.batching import batch_from_stream, batches_from_stream
 from .engine import BatchIngestEngine
 from .errors import DuplicateJobError, UnknownJobError
 from .job import TrackingJob
 
-__all__ = ["TrackingService"]
+__all__ = ["TrackingService", "register_service_metrics"]
+
+
+def register_service_metrics(
+    registry, sample: Callable[[], dict], shards_of: Callable[[dict], list]
+) -> None:
+    """Declare the service layer's families on ``registry`` and bridge
+    ``sample()`` into them at every scrape.
+
+    ``sample`` returns a :meth:`TrackingService.metrics_sample`-shaped
+    dict (the sharded facade's merged one has the same fields);
+    ``shards_of(entry)`` lists the per-shard ``{"shard": ...}`` detail
+    of the whole sample (``elements``) or of one job's entry
+    (``space``).  Values are assigned, not incremented — the totals are
+    owned by the service, so the bridge is idempotent across scrapes.
+    """
+    elements = registry.counter(
+        "repro_service_elements_total",
+        "Events applied to the service, all jobs observing each.",
+    )
+    engine_batches = registry.counter(
+        "repro_service_ingest_batches_total",
+        "Engine calls (coalesced batches applied).",
+    )
+    engine_site_calls = registry.counter(
+        "repro_service_ingest_site_calls_total",
+        "Site on_elements calls the engine made, over all jobs "
+        "(elements * jobs / this = mean slice per call).",
+    )
+    wal_bytes = registry.counter(
+        "repro_service_wal_bytes_total",
+        "Bytes appended to write-ahead logs (0 without durability).",
+    )
+    wal_records = registry.counter(
+        "repro_service_wal_records_total",
+        "Records appended to write-ahead logs.",
+    )
+    comm_messages = registry.counter(
+        "repro_service_comm_messages_total",
+        "Protocol messages, fleet-wide, by channel.",
+        ["channel"],
+    )
+    comm_words = registry.counter(
+        "repro_service_comm_words_total",
+        "Protocol words, fleet-wide, by channel.",
+        ["channel"],
+    )
+    job_elements = registry.counter(
+        "repro_service_job_elements_total",
+        "Events observed per job.",
+        ["job"],
+    )
+    job_comm_words = registry.counter(
+        "repro_service_job_comm_words_total",
+        "Protocol words per job (its own ledger).",
+        ["job"],
+    )
+    space_used = registry.gauge(
+        "repro_shard_space_used_words",
+        "High-water site space per shard and job (max over the "
+        "shard's sites).",
+        ["shard", "job"],
+    )
+    space_available = registry.gauge(
+        "repro_shard_space_available_words",
+        "Budget headroom per shard and job (budgeted jobs only).",
+        ["shard", "job"],
+    )
+    shard_elements = registry.counter(
+        "repro_shard_elements_total",
+        "Events routed to each shard hub.",
+        ["shard"],
+    )
+
+    def collect() -> None:
+        current = sample()
+        elements.labels().value = float(current["elements"])
+        engine_batches.labels().value = float(
+            current["engine"].get("batches", 0)
+        )
+        engine_site_calls.labels().value = float(
+            current["engine"].get("site_calls", 0)
+        )
+        wal_bytes.labels().value = float(current["wal_bytes"])
+        wal_records.labels().value = float(current["wal_records"])
+        for channel in ("uplink", "downlink", "broadcast"):
+            comm_messages.labels(channel).value = float(
+                current["comm"].get(f"{channel}_messages", 0)
+            )
+            comm_words.labels(channel).value = float(
+                current["comm"].get(f"{channel}_words", 0)
+            )
+        for name, info in current["jobs"].items():
+            job_elements.labels(name).value = float(info["elements"])
+            job_comm_words.labels(name).value = float(
+                info["comm"].get("total_words", 0)
+            )
+            budget = info["budget"]
+            for entry in shards_of(info):
+                shard = str(entry["shard"])
+                used = entry["space"]["max_site_words"]
+                space_used.labels(shard, name).set(used)
+                if budget is not None:
+                    space_available.labels(shard, name).set(budget - used)
+        for entry in shards_of(current):
+            shard_elements.labels(str(entry["shard"])).value = float(
+                entry["elements"]
+            )
+
+    registry.register_collector(collect)
 
 
 class TrackingService:
@@ -244,8 +354,6 @@ class TrackingService:
         ``checkpoint_every`` snapshots the service every time that many
         events have been drained (measured from the start of this call).
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
         if checkpoint_every is not None:
             if checkpoint_every < 1:
                 raise ValueError("checkpoint_every must be positive")
@@ -255,23 +363,17 @@ class TrackingService:
                 )
         next_checkpoint = checkpoint_every
         total = 0
-        site_ids: list = []
-        items: list = []
-        append_site = site_ids.append
-        append_item = items.append
-        for site_id, item in stream:
-            append_site(site_id)
-            append_item(item)
-            if len(site_ids) >= batch_size:
-                total += self.ingest(site_ids, items)
-                site_ids, items = [], []
-                append_site = site_ids.append
-                append_item = items.append
-                if next_checkpoint is not None and total >= next_checkpoint:
-                    self.checkpoint()
-                    next_checkpoint = total + checkpoint_every
-        if site_ids:
+        for site_ids, items in batches_from_stream(stream, batch_size):
             total += self.ingest(site_ids, items)
+            # only a full batch checkpoints: the short one that ends
+            # the stream is the caller's to cover
+            if (
+                next_checkpoint is not None
+                and total >= next_checkpoint
+                and len(site_ids) >= batch_size
+            ):
+                self.checkpoint()
+                next_checkpoint = total + checkpoint_every
         return total
 
     # -- queries -----------------------------------------------------------
@@ -302,8 +404,8 @@ class TrackingService:
         Cheaper and flatter than :meth:`status` (no query evaluation —
         a scrape must never run estimators), but it does refresh each
         job's space high-water marks so per-shard used/available words
-        are current.  The shard facade fans this out per hub and the
-        gateway bridges the result into its registry.
+        are current.  The shard facade fans this out per hub, and
+        :meth:`register_metrics` bridges the result into a registry.
         """
         jobs = {}
         for name, job in self._jobs.items():
@@ -322,6 +424,46 @@ class TrackingService:
             "wal_bytes": 0 if wal is None else wal.bytes_appended,
             "wal_records": 0 if wal is None else wal.records_appended,
             "jobs": jobs,
+        }
+
+    def register_metrics(self, registry, sample: Callable[[], dict]) -> None:
+        """Declare this layer's families on ``registry``; ``sample()``
+        supplies :meth:`metrics_sample` at scrape time (a frontend may
+        pass a cached one).  An unsharded service is its own shard 0."""
+        register_service_metrics(
+            registry, sample, lambda entry: [dict(entry, shard=0)]
+        )
+
+    def fleet_targets(self, lock) -> list:
+        """The fleet plane's poll targets: this service, in-process.
+
+        Each poll takes ``lock`` (the frontend's ingest lock), so a
+        heartbeat reads the service on a batch boundary.
+        """
+        from ..exec.workers import hub_stats  # deferred: cycle
+
+        def poll() -> dict:
+            with lock:
+                return hub_stats(self)
+
+        return [FleetTarget("0", poll, address="in-process")]
+
+    def collect_spans(self) -> list:
+        """Spans buffered on remote hubs: none — an unsharded service
+        records straight into :attr:`spans`."""
+        return []
+
+    def error_bound(self, name: str) -> dict:
+        """The paper's additive error accounting for one job:
+        ``bound`` is ``epsilon * n``."""
+        job = self.job(name)
+        epsilon = getattr(job.scheme, "epsilon", None)
+        if epsilon is None:
+            raise ValueError(f"job {name!r} scheme has no epsilon")
+        return {
+            "epsilon": epsilon,
+            "elements": job.elements_processed,
+            "bound": float(epsilon) * job.elements_processed,
         }
 
     # -- budgets -----------------------------------------------------------
@@ -457,6 +599,10 @@ class TrackingService:
         """Release the WAL file handle (no-op without durability)."""
         if self._manager is not None:
             self._manager.close()
+
+    def topology(self) -> str:
+        """The fleet layout in one operator-facing phrase."""
+        return f"k={self.num_sites}"
 
     def __repr__(self) -> str:
         return (

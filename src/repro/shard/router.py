@@ -26,6 +26,8 @@ from typing import List, Optional, Tuple
 
 import numpy as _np
 
+from ..runtime.batching import normalize_items
+
 __all__ = ["ShardRouter"]
 
 
@@ -127,7 +129,7 @@ class ShardRouter:
             raise ValueError(
                 f"site id {bad} out of range [0, {self.num_sites})"
             )
-        items = self._item_list(items, n)
+        items = normalize_items(items, n)
         if self.num_shards == 1:
             return [(0, ids.tolist(), items)]
         shards = self._shard_lut[ids]
@@ -146,20 +148,6 @@ class ShardRouter:
                     (shard, local, [items[i] for i in index_list])
                 )
         return out
-
-    @staticmethod
-    def _item_list(items, n: int) -> Optional[list]:
-        if items is None:
-            return None
-        if isinstance(items, _np.ndarray):
-            items = items.tolist()
-        elif not isinstance(items, list):
-            items = list(items)
-        if len(items) != n:
-            raise ValueError(
-                f"site_ids and items length mismatch: {n} vs {len(items)}"
-            )
-        return items
 
     def __repr__(self) -> str:
         return (

@@ -50,10 +50,13 @@ import numpy as _np
 from ..exec import EXECUTORS, make_group
 from ..exec.dispatch import CreditWindow
 from ..exec.workers import hub_spec
+from ..obs.fleet import FleetTarget
 from ..obs.metrics import DEFAULT_BUCKETS, SIZE_BUCKETS, Histogram
 from ..obs.tracing import SpanRecorder
 from ..runtime import TrackingScheme, derive_seed
+from ..runtime.batching import batches_from_stream
 from ..service.errors import DuplicateJobError, UnknownJobError
+from ..service.service import register_service_metrics
 from .merge import (
     MERGEABLE_METHODS,
     UnmergeableQueryError,
@@ -192,8 +195,8 @@ class ShardedTrackingService:
         #: dispatch-plane telemetry, owned here and always on (two
         #: clock reads per fan-out): spans for dispatch/merge/fence,
         #: histograms for merge latency, candidate-union sizes and
-        #: fan-out rounds per merged query.  Scrapers attach these to
-        #: their registry.
+        #: fan-out rounds per merged query (:meth:`register_metrics`
+        #: attaches them to a registry).
         self.spans = SpanRecorder()
         self.merge_latency = Histogram(DEFAULT_BUCKETS)
         self.merge_candidates = Histogram(SIZE_BUCKETS)
@@ -431,20 +434,10 @@ class ShardedTrackingService:
 
     def ingest_stream(self, stream: Iterable, batch_size: int = 8192) -> int:
         """Drain an iterable of ``(site_id, item)`` pairs in batches."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        total = 0
-        site_ids: list = []
-        items: list = []
-        for site_id, item in stream:
-            site_ids.append(site_id)
-            items.append(item)
-            if len(site_ids) >= batch_size:
-                total += self.ingest(site_ids, items)
-                site_ids, items = [], []
-        if site_ids:
-            total += self.ingest(site_ids, items)
-        return total
+        return sum(
+            self.ingest(site_ids, items)
+            for site_ids, items in batches_from_stream(stream, batch_size)
+        )
 
     # -- queries -----------------------------------------------------------
 
@@ -726,6 +719,86 @@ class ShardedTrackingService:
             ],
         }
 
+    def register_metrics(self, registry, sample) -> None:
+        """Declare the service, shard-merge and exec-plane families on
+        ``registry``; ``sample()`` supplies :meth:`metrics_sample` at
+        scrape time (a frontend may pass a cached one).  Histograms are
+        this facade's own instruments, attached; plain counters are
+        mirrored by a collector."""
+        register_service_metrics(
+            registry, sample, lambda entry: entry["shards"]
+        )
+        for name, help_text, buckets, instrument in (
+            ("repro_shard_merge_seconds",
+             "Cross-shard query merge latency (fan-out included).",
+             DEFAULT_BUCKETS, self.merge_latency),
+            ("repro_shard_merge_candidates",
+             "Candidate-union sizes of quantile/heavy-hitter/top-k "
+             "merges.",
+             SIZE_BUCKETS, self.merge_candidates),
+            ("repro_shard_merge_fanouts",
+             "Fan-out rounds (one fenced round trip to every hub "
+             "each) per merged query.",
+             SIZE_BUCKETS, self.merge_fanouts),
+            # windowed relaxed dispatch: docs/relaxed-mode.md, "Windowing"
+            ("repro_exec_coalesced_runs_per_frame",
+             "Run weight of each windowed sub-batch command posted "
+             "to a shard hub (runs riding one frame).",
+             SIZE_BUCKETS, self.coalesced_runs),
+        ):
+            registry.histogram(name, help_text, buckets=buckets).attach(
+                (), instrument
+            )
+        for shard, backend in enumerate(self._group.backends):
+            backend.register_metrics(registry, shard)
+        registry.gauge(
+            "repro_exec_pending_commands",
+            "Commands posted to shard hubs but not collected (the "
+            "pending-fence depth).",
+        ).set_function(lambda: self.pending_commands)
+        registry.gauge(
+            "repro_exec_inflight_runs",
+            "Runs posted under the relaxed window but not yet "
+            "collected.",
+        ).set_function(self.inflight_runs)
+        window_stalls = registry.counter(
+            "repro_exec_window_stalls_total",
+            "Posts that collected an in-flight reply to free "
+            "window credit before proceeding.",
+        )
+
+        def collect() -> None:
+            window_stalls.labels().value = float(
+                self.dispatch_stats()["window_stalls"]
+            )
+
+        registry.register_collector(collect)
+
+    def fleet_targets(self, lock) -> list:
+        """The fleet plane's poll targets: one per shard hub.
+
+        Each poll posts ``hub_stats`` down the hub's command pipe under
+        ``lock`` (the frontend's ingest lock) — the pipes are FIFO and
+        not safe against interleaved dispatch, so polls queue behind
+        ingest rounds exactly like scrapes and status reads do.
+        """
+        def target(shard, backend):
+            def poll() -> dict:
+                with lock:
+                    return backend.dispatch_run("hub_stats")
+
+            return FleetTarget(
+                str(shard),
+                poll,
+                address=backend.address,
+                pending=lambda: backend.pending,
+            )
+
+        return [
+            target(shard, backend)
+            for shard, backend in enumerate(self._group.backends)
+        ]
+
     # -- persistence -------------------------------------------------------
 
     def checkpoint(self) -> list:
@@ -830,10 +903,9 @@ class ShardedTrackingService:
     def backends(self) -> list:
         """The per-shard exec backends, in shard order.
 
-        The telemetry surface of the exec plane: each backend's
+        Each carries its part of the exec plane's telemetry: a
         ``latency`` histogram (submit-to-collect, i.e. the relaxed
-        in-flight window) and ``pending`` count, plus the byte counters
-        of cluster backends' transports.
+        in-flight window) and a ``pending`` count.
         """
         return list(self._group.backends)
 
@@ -849,6 +921,22 @@ class ShardedTrackingService:
     def close(self) -> None:
         """Shut down every hub (and worker/host) cleanly."""
         self._group.close()
+
+    def topology(self) -> str:
+        """The fleet layout in one operator-facing phrase: sites,
+        shards, hub placement and the dispatch mode with its bounds."""
+        mode = self.executor
+        dispatch = self.dispatch_mode
+        if dispatch != "lockstep":
+            mode += f", {dispatch}"
+            if dispatch == "windowed":
+                bounds = []
+                if self.window is not None:
+                    bounds.append(f"window={self.window}")
+                if self.per_site_depth is not None:
+                    bounds.append(f"depth={self.per_site_depth}")
+                mode += f" ({', '.join(bounds)})"
+        return f"k={self.num_sites}, shards={self.num_shards} ({mode})"
 
     def __repr__(self) -> str:
         return (
