@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 
 from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
+from ...runtime.batching import as_column
 from ..rounds import GlobalCountTracker, LocalDoubler
 from .util import quantile_from_rank_tables, step_table
 
@@ -117,7 +118,7 @@ class _SnapshotCoordinator(Coordinator):
             ]
             values += snapshot
             weights += [hi - lo for lo, hi in zip(steps, steps[1:])]
-        return (*step_table(values, weights), self.estimate_total())
+        return (*step_table(as_column(values), weights), self.estimate_total())
 
     def quantile(self, phi: float):
         table = self.rank_table()

@@ -26,6 +26,7 @@ import math
 
 from ...persistence.codec import StateCodecError
 from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
+from ...runtime.batching import as_column
 from ...runtime.rng import coin, derive_rng
 from ...sketch.mergeable_quantile import QuantileSketchBuilder
 from ..rounds import GlobalCountTracker, LocalDoubler, QuietBetweenDoublings
@@ -448,7 +449,7 @@ class RandomizedRankCoordinator(Coordinator):
         for inv_p, sample in self._samples():
             values += sample
             weights += [inv_p] * len(sample)
-        return (*step_table(values, weights), self.estimate_total())
+        return (*step_table(as_column(values), weights), self.estimate_total())
 
     def quantile(self, phi: float):
         """A value whose rank is within eps*n of phi*n (w.c.p.)."""

@@ -24,6 +24,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import itemgetter
 
+import numpy as _np
+
 __all__ = [
     "quantile_from_rank_fn",
     "quantile_from_rank_tables",
@@ -62,7 +64,26 @@ def step_table(values, weights) -> tuple:
     order.  One stable sort: among equal values the first one given is
     the one kept, and each distinct value's rank is the weight of
     everything sorted before it.
+
+    ``values`` comes in its carrier
+    (:func:`~repro.runtime.batching.as_column`): a typed column gives
+    a typed table — one stable ``argsort`` and one ``cumsum``, which
+    adds in the loop's order, so the ranks are bit-identical — and a
+    list (strings, tuples, mixed int/float) gives lists.
     """
+    if isinstance(values, _np.ndarray):
+        if values.dtype.kind != "f" or not _np.isnan(values).any():
+            order = _np.argsort(values, kind="stable")
+            ordered = values[order]
+            mass = _np.zeros(len(ordered) + 1)
+            _np.cumsum(
+                _np.asarray(weights, dtype=_np.float64)[order], out=mass[1:]
+            )
+            first = _np.flatnonzero(
+                _np.concatenate(([True], ordered[1:] != ordered[:-1]))
+            )
+            return ordered[first], _np.append(mass[first], mass[-1])
+        values = values.tolist()  # NaN: Python's sort order, as ever
     distinct: list = []
     ranks: list = []
     mass = 0.0
@@ -81,11 +102,25 @@ def quantile_from_rank_tables(candidates, tables, phi: float):
     ``candidates`` is the sorted union of the tables' values (one
     table's ``values`` as they are).  The rank at a candidate is the sum
     of each table's step function there, in table order, and the target
-    is ``phi`` (clamped to ``[0, 1]``) of the summed totals.
+    is ``phi`` (clamped to ``[0, 1]``) of the summed totals.  Typed
+    candidates are searched in one ``searchsorted`` per table, summed
+    in the same order, and the answer is a plain Python scalar.
     """
     target = min(max(phi, 0.0), 1.0) * float(
         sum(total for _, _, total in tables)
     )
+    if isinstance(candidates, _np.ndarray) and len(candidates):
+        # The mass through candidate i is the rank at candidate i + 1
+        # (infinite for the last); the first that reaches the target is
+        # what the binary search below finds, the sums being monotone.
+        mass = 0
+        for values, ranks, _ in tables:
+            mass = mass + _np.asarray(ranks)[
+                _np.searchsorted(values, candidates[1:], side="left")
+            ]
+        reached = _np.flatnonzero(mass >= target)
+        lo = int(reached[0]) if len(reached) else len(candidates) - 1
+        return candidates[lo].item()
 
     def rank(x):
         return float(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 from ...runtime import Coordinator, Message, Network, Site, TrackingScheme
+from ...runtime.batching import as_column
 from ...runtime.rng import derive_rng, trailing_level
 from ..rank.util import quantile_from_rank_tables, step_table
 
@@ -122,7 +123,7 @@ class _SamplingCoordinator(Coordinator):
         sample's scale."""
         values = [v for (v, _) in self.sample]
         weights = [self.scale] * len(values)
-        return (*step_table(values, weights), self.estimate())
+        return (*step_table(as_column(values), weights), self.estimate())
 
     def quantile(self, phi: float):
         table = self.rank_table()

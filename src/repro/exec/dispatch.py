@@ -18,10 +18,10 @@
   concatenation order is exactly per-site arrival order, which is the
   only order relaxed mode promises.  A fine-grained interleaving
   (round-robin: one element per run) collapses from one frame per
-  element to one frame per site per window.  Super-run chunks are
-  lifted to typed numpy arrays when the chunk is large homogeneous
-  numerics, so the frame codec packs them via
-  ``tobytes`` instead of a per-element ``struct.pack`` walk.
+  element to one frame per site per window.  Long super-run chunks
+  take their carrier (:func:`~repro.runtime.batching.as_column`), so
+  homogeneous numerics become typed numpy arrays that the frame codec
+  packs via ``tobytes``.
 * :class:`CreditWindow` — what is posted to which target and not yet
   completed.  Every pipelined plane (the coordinator hub posting runs
   to site actors, an :class:`~repro.exec.ExecGroup` posting commands to
@@ -31,9 +31,9 @@
   all live there.  An entry is removed where its reply is consumed, so
   no reader of the ledger can see a stale figure.
 
-This module is dependency-free on purpose (numpy aside): the runtime,
-service, shard and net layers all import it, so it must not import any
-of them.
+This module is dependency-free on purpose: the runtime, service, shard
+and net layers all import it, so it imports none of them beyond the
+batch views of :mod:`repro.runtime.batching` (numpy only).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from bisect import bisect_right
 from collections import deque
 from typing import Callable, Iterable, List, Optional, Tuple
 
-import numpy as _np
+from ..runtime.batching import as_column
 
 __all__ = ["drive_batch", "coalesce_runs", "CreditWindow"]
 
@@ -155,29 +155,13 @@ def drive_batch(host, batch, space_sample_interval: int) -> int:
 
 
 def _columnar(chunk: list):
-    """Lift a merged chunk into a typed numpy array when profitable.
-
-    Only large homogeneous int/float chunks are lifted (the frame codec
-    then packs them via ``tobytes`` instead of a per-element struct
-    walk).  Anything else — small chunks, mixed types, rich payloads,
-    ints outside 64 bits — ships as the plain list it already is.
-    """
+    """A merged chunk in its carrier (:func:`~repro.runtime.batching.
+    as_column`) when it is long enough to profit: the frame codec packs
+    a typed array via ``tobytes`` instead of a per-element struct walk.
+    Short chunks ship as the plain list they already are."""
     if len(chunk) < _COLUMNAR_MIN:
         return chunk
-    first = chunk[0]
-    if type(first) is int:
-        try:
-            arr = _np.asarray(chunk, dtype=_np.int64)
-        except (TypeError, ValueError, OverflowError):
-            return chunk
-        return arr
-    if type(first) is float:
-        try:
-            arr = _np.asarray(chunk, dtype=_np.float64)
-        except (TypeError, ValueError):
-            return chunk
-        return arr
-    return chunk
+    return as_column(chunk)
 
 
 def _merged(chunks: List[list]) -> list:

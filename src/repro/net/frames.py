@@ -35,10 +35,19 @@ so :func:`decode_payload` distinguishes the two without out-of-band
 signalling; :func:`decode_json` is the decoder's JSON arm).
 Packing is exact: ints ride as ``i4``/``i8`` (bigger ints stay JSON),
 floats as IEEE ``f8`` — every value round-trips bit-identically, so
-transcript equivalence is untouched.  Columnar super-run chunks (typed
-numpy arrays from the dispatch coalescer) take a fast path: the same
-blob layout, produced by one ``tobytes`` instead of a per-element
-``struct.pack`` walk, and decoded to the same plain Python scalars.
+transcript equivalence is untouched.
+
+**Typed columns.**  Event columns follow one carrier rule, applied once
+where a batch enters (:func:`repro.runtime.batching.as_column`): all
+Python ints within int64 are an ``int64`` array, all floats a
+``float64`` array, anything else a list.  A 1-D int/float numpy array
+— an ingested column, a columnar super-run, a rank table's columns —
+takes the fast path: the same blob layout, produced by one ``tobytes``
+instead of a per-element walk, with a third placeholder field marking
+it array-origin (``{"__wblob__": [index, dtype, "a"]}``), and the
+receiver rebuilds it with one ``np.frombuffer`` as an ``int64`` /
+``float64`` array.  List-origin blobs decode to lists, so protocol
+messages and shipped summaries are byte-for-byte what they always were.
 """
 
 from __future__ import annotations
@@ -48,6 +57,8 @@ import struct
 from typing import List, Optional, Tuple
 
 import numpy as _np
+
+from ..runtime.batching import as_column
 
 __all__ = [
     "DEFAULT_MAX_FRAME",
@@ -170,121 +181,115 @@ MIN_PACK = 16
 _BLOB_KEY = "__wblob__"
 _ESC_KEY = "__wesc__"
 
-_I8_MIN, _I8_MAX = -(1 << 63), (1 << 63) - 1
-
-#: dtype -> (struct format template, item size in bytes)
-_PACKERS = {
-    "u1": ("<%dB", 1),
-    "i2": ("<%dh", 2),
-    "i4": ("<%di", 4),
-    "i8": ("<%dq", 8),
-    "f8": ("<%dd", 8),
+#: blob dtype tag -> the numpy dtype of its little-endian items
+_BLOB_DTYPES = {
+    tag: _np.dtype(code)
+    for tag, code in (
+        ("u1", "u1"), ("i2", "<i2"), ("i4", "<i4"), ("i8", "<i8"),
+        ("f8", "<f8"),
+    )
 }
 
 #: per-blob envelope overhead (placeholder JSON + length prefix), used
 #: by the size gate below
 _BLOB_OVERHEAD = 28
 
+#: third placeholder field of an array-origin blob (decoded as an array)
+_ARRAY_ORIGIN = "a"
 
-def _classify(values) -> Optional[str]:
-    """The blob dtype for a list, or None when it must stay JSON.
+#: 10 ** 1 .. 10 ** 19: digit counts of int64 magnitudes by bisection
+_POW10 = _np.array([10**e for e in range(1, 20)], dtype=_np.uint64)
 
-    Ints pick the smallest fixed width that holds the whole list;
-    bigger-than-i8 ints and mixed-type lists stay JSON.
+
+def _classify(column) -> Optional[str]:
+    """The blob dtype for a typed column, or None when it must stay JSON.
+
+    Lists reach here only through their carrier (:func:`~repro.runtime.
+    batching.as_column`), so bools, mixed int/float, bigger-than-i8 ints
+    and anything non-numeric never do.  Ints pick the smallest fixed
+    width that holds the whole column, floats ride as IEEE ``f8``.
     """
-    first = type(values[0])
-    if first is int:
-        lo = hi = values[0]
-        for v in values:
-            if type(v) is not int:
-                return None
-            if v < lo:
-                lo = v
-            elif v > hi:
-                hi = v
-        if 0 <= lo and hi <= 0xFF:
-            return "u1"
-        if -0x8000 <= lo and hi <= 0x7FFF:
-            return "i2"
-        if -(1 << 31) <= lo and hi <= (1 << 31) - 1:
-            return "i4"
-        if _I8_MIN <= lo and hi <= _I8_MAX:
-            return "i8"
-        return None  # bigints stay JSON
-    if first is float:
-        for v in values:
-            if type(v) is not float:
-                return None
-        return "f8"
-    return None
+    if column.ndim != 1:
+        return None
+    kind = column.dtype.kind
+    if not column.size or kind not in "iuf":
+        return None
+    if kind == "f":
+        # long doubles would lose precision as f8
+        return "f8" if column.dtype.itemsize <= 8 else None
+    lo, hi = int(column.min()), int(column.max())
+    if 0 <= lo and hi <= 0xFF:
+        return "u1"
+    if -0x8000 <= lo and hi <= 0x7FFF:
+        return "i2"
+    if -(1 << 31) <= lo and hi <= (1 << 31) - 1:
+        return "i4"
+    if -(1 << 63) <= lo and hi <= (1 << 63) - 1:
+        return "i8"
+    return None  # u8 values beyond i8 stay JSON (as bigints do)
 
 
-def _json_length(values) -> int:
+def _json_length(values, column) -> int:
     """Byte length the list costs inside a JSON rendering.
 
     ``repr`` of ints and (finite) floats matches their JSON rendering;
-    the +1 per element covers the comma/bracket.  Exactness does not
-    matter — this only gates whether a raw blob is the smaller layout.
+    the +1 per element covers the comma/bracket.  An int column counts
+    its digits in one vectorized bisection; floats take their ``repr``.
+    Exactness does not matter — this only gates whether a raw blob is
+    the smaller layout — but the count is exact, so the layout is the
+    same whichever way it is computed.
     """
-    return sum(len(repr(v)) + 1 for v in values) + 1
+    if column.dtype.kind == "f":
+        return sum(len(repr(v)) + 1 for v in values) + 1
+    negative = column < 0
+    magnitude = _np.where(negative, -(column + 1), column).astype(
+        _np.uint64
+    ) + negative
+    digits = _np.searchsorted(_POW10, magnitude, side="right") + 1
+    return int(digits.sum()) + int(negative.sum()) + len(column) + 1
 
 
-#: numpy target dtype for each blob dtype tag
-_ND_TARGETS = {"u1": "u1", "i2": "<i2", "i4": "<i4", "i8": "<i8", "f8": "<f8"}
+def _pack_column(column, blobs: List[bytes], listed=None) -> Optional[dict]:
+    """Blob a typed column via ``tobytes`` — no element walk.
 
-
-def _pack_ndarray(arr, blobs: List[bytes]) -> Optional[dict]:
-    """Blob a 1-D numeric numpy array via ``tobytes`` — no element walk.
-
-    The blob layout is identical to the list path (smallest int width,
-    little-endian), so the decoder needs no new cases and values
-    round-trip to the same plain Python scalars.  Returns None for
-    shapes/dtypes the envelope cannot carry exactly.
+    ``listed`` is the list the column was lifted from, or None for an
+    array the caller handed over.  List-origin columns keep the list
+    layout (and decode back to lists); a size gate leaves them JSON
+    when small numbers render tighter than fixed-width items.
+    Array-origin blobs carry a third placeholder field and decode with
+    one ``np.frombuffer`` as the canonical carrier (``int64`` /
+    ``float64``).  Returns None when the envelope cannot carry the
+    column exactly.
     """
-    kind = arr.dtype.kind
-    if arr.ndim != 1 or arr.size == 0 or kind not in "iuf":
+    dtype = _classify(column)
+    if dtype is None:
         return None
-    if kind == "f":
-        if arr.dtype.itemsize > 8:
-            return None  # long doubles would lose precision as f8
-        dtype = "f8"
-    else:
-        lo, hi = int(arr.min()), int(arr.max())
-        if hi > _I8_MAX or lo < _I8_MIN:
-            return None  # u8 values beyond i8 stay JSON (as bigints do)
-        if 0 <= lo and hi <= 0xFF:
-            dtype = "u1"
-        elif -0x8000 <= lo and hi <= 0x7FFF:
-            dtype = "i2"
-        elif -(1 << 31) <= lo and hi <= (1 << 31) - 1:
-            dtype = "i4"
-        else:
-            dtype = "i8"
-    data = arr.astype(_ND_TARGETS[dtype], copy=False)
+    target = _BLOB_DTYPES[dtype]
+    if listed is not None and (
+        target.itemsize * len(column) + _BLOB_OVERHEAD
+        >= _json_length(listed, column)
+    ):
+        return None
     index = len(blobs)
-    blobs.append(data.tobytes())
-    return {_BLOB_KEY: [index, dtype]}
+    blobs.append(column.astype(target, copy=False).tobytes())
+    if listed is not None:
+        return {_BLOB_KEY: [index, dtype]}
+    return {_BLOB_KEY: [index, dtype, _ARRAY_ORIGIN]}
 
 
 def _pack_walk(obj, blobs: List[bytes]):
     if isinstance(obj, _np.ndarray):
-        packed = _pack_ndarray(obj, blobs)
+        packed = _pack_column(obj, blobs)
         if packed is not None:
             return packed
         return _pack_walk(obj.tolist(), blobs)
     if isinstance(obj, (list, tuple)):
         if len(obj) >= MIN_PACK:
-            dtype = _classify(obj)
-            if dtype is not None:
-                template, item_size = _PACKERS[dtype]
-                blob_size = item_size * len(obj) + _BLOB_OVERHEAD
-                # Size gate: small numbers (single-digit ints, "1.0"
-                # floats) render tighter as JSON than as fixed-width
-                # blobs; only pack when raw bytes actually win.
-                if blob_size < _json_length(obj):
-                    index = len(blobs)
-                    blobs.append(struct.pack(template % len(obj), *obj))
-                    return {_BLOB_KEY: [index, dtype]}
+            column = as_column(obj)
+            if isinstance(column, _np.ndarray):
+                packed = _pack_column(column, blobs, obj)
+                if packed is not None:
+                    return packed
         return [_pack_walk(v, blobs) for v in obj]
     if isinstance(obj, dict):
         packed = {k: _pack_walk(v, blobs) for k, v in obj.items()}
@@ -302,15 +307,19 @@ def _unpack_walk(obj, blobs: List[bytes]):
     if isinstance(obj, dict):
         keys = obj.keys()
         if len(obj) == 1 and _BLOB_KEY in keys:
-            index, dtype = obj[_BLOB_KEY]
+            index, dtype, *origin = obj[_BLOB_KEY]
             blob = blobs[index]
-            template, item_size = _PACKERS[dtype]
-            count, rem = divmod(len(blob), item_size)
-            if rem:
+            target = _BLOB_DTYPES[dtype]
+            if len(blob) % target.itemsize:
                 raise FrameError(
                     f"blob {index} is not a whole number of {dtype} items"
                 )
-            return list(struct.unpack(template % count, blob))
+            column = _np.frombuffer(blob, target)
+            if origin:
+                return column.astype(
+                    _np.float64 if dtype == "f8" else _np.int64, copy=False
+                )
+            return column.tolist()
         if len(obj) == 1 and _ESC_KEY in keys:
             return {
                 k: _unpack_walk(v, blobs) for k, v in obj[_ESC_KEY].items()

@@ -68,6 +68,8 @@ from collections import deque
 from typing import Optional
 from urllib.parse import parse_qsl, urlsplit
 
+import numpy as _np
+
 from ..obs import (
     AlertManager,
     FleetMonitor,
@@ -176,10 +178,14 @@ class _Raw:
 def jsonable(value):
     """Make a query result JSON-renderable without losing structure.
 
-    Tuples and sets become lists; dict keys that are not strings are
-    stringified via ``json``-style rendering (so a tuple key shows as
-    ``"[tenant, item]"`` rather than crashing the encoder).
+    Tuples, sets and typed columns (numpy arrays, e.g. a
+    ``rank_table()``'s values and ranks) become lists; dict keys that
+    are not strings are stringified via ``json``-style rendering (so a
+    tuple key shows as ``"[tenant, item]"`` rather than crashing the
+    encoder).
     """
+    if isinstance(value, _np.ndarray):
+        return value.tolist()
     if isinstance(value, dict):
         return {_key(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -58,6 +58,9 @@ _EOF = object()
 #: an error instead of a silently stuck caller
 CALL_TIMEOUT = 600.0
 
+#: how long closing a loop waits for its cancelled tasks to unwind
+_CLOSE_TIMEOUT = 10.0
+
 
 class ConnectionClosedError(ConnectionError):
     """An operation hit a connection that is already closed."""
@@ -111,13 +114,34 @@ class LoopThread:
             ) from None
 
     def close(self) -> None:
+        """Cancel and await every task still on the loop, then stop it.
+
+        A server session waiting on its peer is such a task; stopping
+        the loop under it would leave a pending task to be destroyed
+        (and its coroutine's ``finally`` to run) after the loop closed.
+        """
         if self.closed:
             return
         self.closed = True
+        if threading.current_thread() is not self._thread:
+            try:
+                asyncio.run_coroutine_threadsafe(
+                    _cancel_pending(), self._loop
+                ).result(_CLOSE_TIMEOUT)
+            except concurrent.futures.TimeoutError:
+                pass  # a task ignoring cancellation: stop regardless
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=30)
         if not self._thread.is_alive():
             self._loop.close()
+
+
+async def _cancel_pending() -> None:
+    current = asyncio.current_task()
+    tasks = [task for task in asyncio.all_tasks() if task is not current]
+    for task in tasks:
+        task.cancel()
+    await asyncio.gather(*tasks, return_exceptions=True)
 
 
 async def serve_on_thread(

@@ -31,7 +31,14 @@ refuse the snapshot with :class:`StateCodecError`).
 
 Only classes defined under the ``repro`` package are encoded; anything
 else is a bug in the caller and raises immediately rather than producing
-a snapshot that cannot be restored.
+a snapshot that cannot be restored.  The one exception is a typed
+column — a 1-D int/float numpy array, what the carrier rule
+(:func:`repro.runtime.batching.as_column`: all Python ints within int64
+-> ``int64``, all floats -> ``float64``, anything else a list) makes of
+an event column or a rank table: it is a leaf, encoded and decoded as
+itself without walking its elements, and the frame codec ships it with
+one ``tobytes``.  (A tree holding one is frame-safe, not JSON-safe;
+protocol state never holds one.)
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ import importlib
 import math
 import random
 from collections import deque
+
+import numpy as _np
 
 __all__ = [
     "StateEncoder",
@@ -74,6 +83,16 @@ TAG_FLOAT = "__float__"
 
 class StateCodecError(TypeError):
     """A value in a component's state cannot be snapshotted."""
+
+
+def _is_column(value) -> bool:
+    """A 1-D int/float ndarray: an event column or rank table column
+    (see :func:`repro.runtime.batching.as_column`), encoded as itself."""
+    return (
+        isinstance(value, _np.ndarray)
+        and value.ndim == 1
+        and value.dtype.kind in "iuf"
+    )
 
 
 def _transient_names(cls) -> frozenset:
@@ -196,6 +215,8 @@ class StateEncoder:
                 TAG_RNG: self._remember(value),
                 "state": [version, list(internal), gauss],
             }
+        if _is_column(value):
+            return value  # a leaf: the frame codec ships it by tobytes
         if type(value).__module__.split(".", 1)[0] == "repro":
             ref = self._memo.get(id(value))
             if ref is not None:
@@ -237,6 +258,8 @@ class StateDecoder:
                 return [self.merge(t, e) for t, e in zip(target, encoded)]
             return [self.merge(None, e) for e in encoded]
         if not isinstance(encoded, dict):
+            if _is_column(encoded):
+                return encoded
             raise StateCodecError(f"malformed snapshot node: {encoded!r}")
         if TAG_FLOAT in encoded:
             return float(encoded[TAG_FLOAT])

@@ -19,7 +19,13 @@ finished writing was never applied, and it was never acknowledged.
 
 Batch payloads keep item values exact: scalar items are stored raw and
 tuple-or-richer items go through the snapshot codec, so replayed events
-compare (and hash) identically to the originals.
+compare (and hash) identically to the originals.  Columns arrive in
+their carrier (:func:`repro.runtime.batching.as_column`: all Python
+ints within int64 -> an ``int64`` array, all floats -> a ``float64``
+array, anything else a list): an int array is packed straight from its
+buffer with no list round trip, and every layout is byte-for-byte what
+the same values give as a plain list, so a log replays the same
+whichever carrier wrote it.  Replay hands back plain lists.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as _np
 
+from ..runtime.batching import as_column
 from .codec import _SCALARS as _codec_scalars
 from .codec import decode_value, encode_value
 
@@ -108,26 +115,24 @@ def decode_int_array(payload) -> list:
 
 
 def encode_items(items) -> Tuple[Optional[object], bool]:
-    """(payload, codec_flag) for a batch's item list.
+    """(payload, codec_flag) for a batch's item column.
 
-    All-int payloads take the packed-array fast path, other scalar mixes
-    are stored as raw JSON, and anything richer (tuples, e.g. the
+    The column's carrier (:func:`repro.runtime.batching.as_column`)
+    picks the layout: an ``int64`` array is packed straight from its
+    buffer, a ``float64`` array is stored as its raw JSON list, other
+    scalar mixes are stored raw, and anything richer (tuples, e.g. the
     labeled multi-tenant items) goes through the snapshot codec so
-    decoding restores identical — hashable — values.
+    decoding restores identical — hashable — values.  Every layout is
+    byte-for-byte what the same values give as a plain list.
     """
     if items is None:
         return None, False
-    items = list(items)
-    types = set(map(type, items))
-    if types <= {int}:
-        return encode_int_array(items), False
-    if types and all(
-        t is not bool and issubclass(t, (int, _np.integer)) for t in types
-    ):
-        # numpy scalars smuggled in a plain list: replay as exact ints
-        # (== and hash-equivalent, so transcripts are unaffected).
-        return encode_int_array([int(v) for v in items]), False
-    if types <= _SCALAR_TYPES:
+    items = as_column(items)
+    if isinstance(items, _np.ndarray):
+        if items.dtype.kind == "f":
+            return items.tolist(), False
+        return _pack_int_array(items), False
+    if set(map(type, items)) <= _SCALAR_TYPES:
         return items, False
     return [
         v if type(v) in _SCALAR_TYPES else encode_value(v) for v in items
@@ -325,8 +330,6 @@ class WriteAheadLog:
 
     def append_batch(self, site_ids, items=None) -> int:
         """Log one ingested batch ahead of applying it; returns its seq."""
-        if hasattr(items, "tolist"):  # numpy array
-            items = items.tolist()
         payload, coded = encode_items(items)
         return self._append(
             [REC_BATCH, -1, encode_int_array(site_ids), payload, coded]

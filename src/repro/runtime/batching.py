@@ -42,6 +42,7 @@ import numpy as _np
 
 __all__ = [
     "SiteBatch",
+    "as_column",
     "decompose_runs",
     "batch_from_stream",
     "batches_from_stream",
@@ -82,6 +83,52 @@ def batches_from_stream(stream, batch_size: int):
             site_ids, items = [], []
     if site_ids:
         yield site_ids, items
+
+
+_CARRIERS = {frozenset((int,)): _np.int64, frozenset((float,)): _np.float64}
+
+
+def as_column(values):
+    """The carrier of one event column: a typed array or a plain list.
+
+    The one carrier rule.  A column whose every value is a Python
+    ``int`` within int64 range (``bool`` excluded) becomes an ``int64``
+    array; one whose every value is a ``float`` becomes a ``float64``
+    array.  Any other column — bools, mixed int/float, ints beyond
+    int64, strings, tuples, empty — stays the plain list it is, because
+    numpy would coerce its values.  Numpy integer scalars count as the
+    exact Python ints they equal (a list of them is converted first, so
+    even one beyond int64 stays an exact int).  The type check runs at
+    C speed (one ``frozenset(map(type, ...))``), and an ndarray passes
+    through as its canonical carrier (1-D int/uint that fits int64, or
+    float up to 64 bits; anything else falls back to its ``tolist()``),
+    so applying the rule where a batch enters makes every later layer's
+    decision an O(1) ``isinstance`` check: arrays ship by ``tobytes``
+    and are viewed by ``SiteBatch``, which hands sites plain Python
+    scalars.
+    """
+    if isinstance(values, _np.ndarray):
+        kind = values.dtype.kind
+        if values.ndim == 1 and values.size:
+            if kind == "i" or (kind == "u" and values.max() < 1 << 63):
+                return values.astype(_np.int64, copy=False)
+            if kind == "f" and values.dtype.itemsize <= 8:
+                return values.astype(_np.float64, copy=False)
+        return values.tolist()
+    if not isinstance(values, list):
+        values = list(values)
+    types = frozenset(map(type, values))
+    dtype = _CARRIERS.get(types)
+    if dtype is None:
+        if not types or not all(
+            t is int or issubclass(t, _np.integer) for t in types
+        ):
+            return values
+        values, dtype = list(map(int, values)), _np.int64
+    try:
+        return _np.fromiter(values, dtype, len(values))
+    except OverflowError:
+        return values  # ints beyond int64 stay exact as Python ints
 
 
 def normalize_items(items, n: int) -> Optional[list]:

@@ -58,8 +58,9 @@ query                                  rounds  reply per hub
 ``estimate_frequency`` / default
 windowed default (``estimate()``)      2       one timestamp, one number
 ``quantile(phi)``                      1       its rank table: ``2 S_s + 2``
-                                               numbers (15-17 KB of JSON
-                                               at ``S_s`` ~ 650)
+                                               numbers, two typed blobs
+                                               for numeric values (6 KB
+                                               at ``S_s`` ~ 600)
 ``heavy_hitters(phi)``                 2       its hitters and basis, then
                                                ``C`` numbers (1 round when
                                                no shard has a hitter)
@@ -71,6 +72,8 @@ windowed default (``estimate()``)      2       one timestamp, one number
 from __future__ import annotations
 
 from typing import Callable, List, Sequence
+
+import numpy as _np
 
 from ..service.errors import ServiceError
 
@@ -135,6 +138,10 @@ def _sub(method, *args, **kwargs) -> tuple:
     return method, args, kwargs
 
 
+def _plain(column) -> list:
+    return column.tolist() if isinstance(column, _np.ndarray) else column
+
+
 def _column(replies, index: int) -> list:
     """Every shard's result of the round's ``index``-th sub-query."""
     return [shard[index][1] for shard in replies]
@@ -197,10 +204,24 @@ def merged_query(
         from ..core.rank.util import quantile_from_rank_tables
 
         tables = _column(fanout([_sub("rank_table")]), 0)
-        candidates: set = set()
-        for values, _, _ in tables:
-            candidates.update(values)
-        ordered = sorted(candidates)
+        columns = [values for values, _, _ in tables if len(values)]
+        if columns and all(
+            isinstance(values, _np.ndarray)
+            and values.dtype == columns[0].dtype
+            for values in columns
+        ):
+            ordered = _np.unique(_np.concatenate(columns))
+        else:
+            # list tables (or typed ones of different dtypes): the
+            # union and its order are Python's, on plain scalars
+            tables = [
+                (_plain(values), _plain(ranks), total)
+                for values, ranks, total in tables
+            ]
+            candidates: set = set()
+            for values, _, _ in tables:
+                candidates.update(values)
+            ordered = sorted(candidates)
         if observe_candidates is not None:
             observe_candidates(len(ordered))
         return quantile_from_rank_tables(ordered, tables, args[0])

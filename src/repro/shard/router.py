@@ -22,11 +22,9 @@ merge plane (:mod:`repro.shard.merge`) recombines at query time.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as _np
-
-from ..runtime.batching import normalize_items
 
 __all__ = ["ShardRouter"]
 
@@ -108,14 +106,15 @@ class ShardRouter:
 
     # -- batch routing -----------------------------------------------------
 
-    def split(
-        self, site_ids, items=None
-    ) -> List[Tuple[int, list, Optional[list]]]:
+    def split(self, site_ids, items=None) -> List[Tuple[int, object, object]]:
         """Route one ordered event batch to its shards.
 
         Returns ``(shard, local_site_ids, items)`` triples — one per
         shard that receives at least one event — with per-shard arrival
         order preserved (the property shard-local transcripts rest on).
+        Local site ids are an ``int64`` array; an item column keeps its
+        carrier (:func:`repro.runtime.batching.as_column`): a typed
+        array is sliced by one fancy index, a list by position, and
         ``items=None`` (count-style unit streams) stays ``None``.
         Raises :class:`ValueError` on any out-of-range site id *before*
         any routing, so a bad batch is rejected atomically.
@@ -129,24 +128,26 @@ class ShardRouter:
             raise ValueError(
                 f"site id {bad} out of range [0, {self.num_sites})"
             )
-        items = normalize_items(items, n)
+        if items is not None and len(items) != n:
+            raise ValueError(
+                f"site_ids and items length mismatch: {n} vs {len(items)}"
+            )
         if self.num_shards == 1:
-            return [(0, ids.tolist(), items)]
+            return [(0, ids, items)]
         shards = self._shard_lut[ids]
         out = []
         for shard in range(self.num_shards):
             idx = _np.flatnonzero(shards == shard)
             if idx.shape[0] == 0:
                 continue
-            sub = ids[idx]
-            local = self._local_lut[sub].tolist()
+            local = self._local_lut[ids[idx]]
             if items is None:
-                out.append((shard, local, None))
+                sub = None
+            elif isinstance(items, _np.ndarray):
+                sub = items[idx]
             else:
-                index_list = idx.tolist()
-                out.append(
-                    (shard, local, [items[i] for i in index_list])
-                )
+                sub = list(map(items.__getitem__, idx.tolist()))
+            out.append((shard, local, sub))
         return out
 
     def __repr__(self) -> str:

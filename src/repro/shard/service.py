@@ -54,7 +54,7 @@ from ..obs.fleet import FleetTarget
 from ..obs.metrics import DEFAULT_BUCKETS, SIZE_BUCKETS, Histogram
 from ..obs.tracing import SpanRecorder
 from ..runtime import TrackingScheme, derive_seed
-from ..runtime.batching import batches_from_stream
+from ..runtime.batching import as_column, batches_from_stream
 from ..service.errors import DuplicateJobError, UnknownJobError
 from ..service.service import register_service_metrics
 from .merge import (
@@ -382,8 +382,16 @@ class ShardedTrackingService:
         collected at all — the next fencing operation (query, status,
         checkpoint, registry change) drains outstanding batches and
         surfaces any deferred ingest error.
+
+        The batch enters here: each column takes its carrier once
+        (:func:`~repro.runtime.batching.as_column`), so numeric columns
+        reach every hub — and its WAL — as typed arrays.  A column that
+        is the caller's own object is copied: a relaxed post may run
+        after this returns, when the caller may have refilled it.
         """
-        parts = self.router.split(site_ids, items)
+        parts = self.router.split(
+            _owned(site_ids), None if items is None else _owned(items)
+        )
         if not parts:
             return 0
         per_shard = [([], None) for _ in range(self.num_shards)]
@@ -946,28 +954,19 @@ class ShardedTrackingService:
         )
 
 
+def _owned(values):
+    """``values`` in its carrier, never the caller's own object."""
+    column = as_column(values)
+    return column.copy() if column is values else column
+
+
 def _run_count(site_ids) -> int:
-    """Number of maximal same-site stretches in one ordered id list —
+    """Number of maximal same-site stretches in one ordered id array —
     the unit the in-flight ``window`` is accounted in (matching the
-    hub-level run decomposition).  Numpy collapses the scan of a long
-    list to two vector ops."""
-    n = len(site_ids)
-    if n == 0:
+    hub-level run decomposition)."""
+    if len(site_ids) == 0:
         return 0
-    if n >= 512:
-        try:
-            arr = _np.asarray(site_ids)
-            if arr.dtype.kind in "iu":
-                return int((arr[1:] != arr[:-1]).sum()) + 1
-        except (TypeError, ValueError):
-            pass
-    count = 1
-    last = site_ids[0]
-    for site_id in site_ids:
-        if site_id != last:
-            count += 1
-            last = site_id
-    return count
+    return int(_np.count_nonzero(site_ids[1:] != site_ids[:-1])) + 1
 
 
 def _sum_dicts(dicts: list) -> dict:

@@ -73,7 +73,7 @@ class TestRankTable:
         for value, rank in zip(stored, ranks):
             assert close(rank, coordinator.estimate_rank(value))
 
-        probes = [stored[0] - 1, stored[-1] + 1] if stored else [0]
+        probes = [stored[0] - 1, stored[-1] + 1] if len(stored) else [0]
         probes += [(a + b) / 2 for a, b in zip(stored, stored[1:])]
         for probe in probes:
             assert close(
@@ -93,6 +93,7 @@ class TestRankTable:
         sim.run(stream)
         coordinator = sim.coordinator
         stored, ranks, total = coordinator.rank_table()
+        stored = list(stored)  # a typed column for numeric values
         if not stored:
             with pytest.raises(ValueError, match="no candidate values"):
                 coordinator.quantile(phi)

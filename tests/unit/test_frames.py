@@ -182,16 +182,22 @@ class TestBinaryPayloads:
         assert self.round_trip(obj) == obj
 
     def test_dtype_choice_follows_range(self):
-        from repro.net.frames import _classify
+        import numpy
 
-        assert _classify(list(range(16))) == "u1"
-        assert _classify([-5] + [300] * 20) == "i2"
-        assert _classify([1 << 20] * 20) == "i4"
-        assert _classify([1 << 40] * 20) == "i8"
-        assert _classify([1 << 70] * 20) is None  # bigints stay JSON
-        assert _classify([0.5] * 20) == "f8"
-        assert _classify([1, 0.5] + [3] * 20) is None
-        assert _classify([True] * 20) is None  # bools are not ints here
+        from repro.net.frames import _classify
+        from repro.runtime.batching import as_column
+
+        assert _classify(as_column(list(range(16)))) == "u1"
+        assert _classify(as_column([-5] + [300] * 20)) == "i2"
+        assert _classify(as_column([1 << 20] * 20)) == "i4"
+        assert _classify(as_column([1 << 40] * 20)) == "i8"
+        assert _classify(as_column([0.5] * 20)) == "f8"
+        assert _classify(numpy.full(20, 1 << 63, numpy.uint64)) is None
+        # bigints, mixed int/float and bools keep the list carrier, so
+        # they stay JSON
+        assert isinstance(as_column([1 << 70] * 20), list)
+        assert isinstance(as_column([1, 0.5] + [3] * 20), list)
+        assert isinstance(as_column([True] * 20), list)
 
     def test_reserved_key_collision_is_escaped(self):
         obj = {"__wblob__": [0, "i8"], "__wesc__": {"x": 1},
@@ -231,7 +237,9 @@ class TestBinaryPayloads:
             [i % 4 for i in range(4000)],
             [(i * 7919) % 100003 for i in range(4000)],
         )
-        table = sim.coordinator.rank_table()
+        typed = sim.coordinator.rank_table()
+        # the list-origin twin of the typed table a hub now ships
+        table = (typed[0].tolist(), typed[1].tolist(), typed[2])
         values, weights = table[0], table[1]
         assert len(values) >= MIN_PACK and type(values[0]) is int
         assert len(weights) >= MIN_PACK and type(weights[0]) is float
@@ -242,6 +250,33 @@ class TestBinaryPayloads:
         # repr: 1 == 1.0, but an int must not come back a float
         assert repr(decoded) == repr(_json.loads(_json.dumps(reply)))
         assert decode_value(decoded["result"]) == table
+
+    def test_typed_rank_table_ships_as_array_blobs(self):
+        # A hub's rank table for numeric values is two typed columns:
+        # each rides one array-origin blob and comes back typed, equal
+        # value for value, with the closing total a plain float.
+        import numpy
+
+        from repro import RandomizedRankScheme, Simulation
+        from repro.persistence.codec import decode_value, encode_value
+
+        sim = Simulation(RandomizedRankScheme(0.05), 4, seed=3)
+        sim.run_batched(
+            [i % 4 for i in range(4000)],
+            [(i * 7919) % 100003 for i in range(4000)],
+        )
+        values, ranks, total = sim.coordinator.rank_table()
+        assert values.dtype == numpy.int64 and ranks.dtype == numpy.float64
+        reply = {"t": "ok", "result": encode_value((values, ranks, total))}
+        payload = encode_payload(reply)
+        assert payload.count(b'"a"]') == 2  # two array-origin blobs
+        got_values, got_ranks, got_total = decode_value(
+            self.round_trip(reply)["result"]
+        )
+        assert got_values.dtype == numpy.int64
+        assert got_values.tolist() == values.tolist()
+        assert got_ranks.tobytes() == ranks.tobytes()
+        assert type(got_total) is float and got_total == total
 
     def test_tcp_vs_json_transport_agree_on_rich_chunks(self):
         # tuples inside a coded chunk survive a JSON rendering (what the

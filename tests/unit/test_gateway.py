@@ -4,9 +4,10 @@ import json
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
-from repro import TrackingService
+from repro import RandomizedRankScheme, TrackingService
 from repro.cli import main as cli_main
 from repro.net.gateway import GatewayThread, jsonable
 
@@ -110,6 +111,45 @@ class TestEndpoints:
             direct.ingest(batch)
         assert body["result"] == direct.query("total")
 
+    def test_rank_table_renders_as_lists(self, gateway):
+        """A typed rank table answers ``/v1/query`` and a query
+        subscription as JSON lists, equal to the in-process table."""
+        request(
+            gateway, "POST", "/v1/jobs",
+            {"name": "med", "spec": "rank/randomized:0.1"},
+        )
+        site_ids = [i % 8 for i in range(3000)]
+        items = [(i * 7919) % 1000 for i in range(3000)]
+        status, _ = request(
+            gateway, "POST", "/v1/ingest",
+            {"site_ids": site_ids, "items": items},
+        )
+        assert status == 200
+        query = {"job": "med", "method": "rank_table"}
+        status, body = request(gateway, "POST", "/v1/query", query)
+        assert status == 200
+        values, ranks, total = body["result"]
+        assert values and isinstance(values, list)
+        assert len(ranks) == len(values) + 1
+
+        direct = TrackingService(num_sites=8, seed=5)
+        direct.register("med", RandomizedRankScheme(0.1))
+        direct.ingest(site_ids, items)
+        assert body["result"] == jsonable(direct.query("med", "rank_table"))
+
+        status, body = request(
+            gateway, "POST", "/v1/subscribe", {"kind": "query", **query}
+        )
+        assert status == 200
+        assert body["value"][0] == values
+        status, _ = request(
+            gateway, "POST", "/v1/ingest", {"site_ids": site_ids[:100],
+                                             "items": items[:100]},
+        )
+        assert status == 200
+        status, body = request(gateway, "POST", "/v1/query", query)
+        assert status == 200
+
     def test_unregister(self, gateway):
         request(gateway, "POST", "/v1/jobs", {"name": "x", "spec": "count/deterministic"})
         status, body = request(gateway, "DELETE", "/v1/jobs/x")
@@ -198,6 +238,12 @@ class TestErrorMapping:
 class TestJsonable:
     def test_tuples_and_sets(self):
         assert jsonable(((1, 2), {3, 1})) == [[1, 2], [1, 3]]
+
+    def test_typed_columns(self):
+        out = jsonable((np.arange(3), np.array([0.5, 1.5])))
+        assert out == [[0, 1, 2], [0.5, 1.5]]
+        assert type(out[0][0]) is int
+        json.dumps(out)  # renderable
 
     def test_tuple_dict_keys(self):
         out = jsonable({(0, "a"): 1.5, "plain": 2})

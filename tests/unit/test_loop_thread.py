@@ -64,3 +64,50 @@ class TestClusterOnTheSharedLoop:
         assert "tcp-json" in str(excinfo.value)
         # the failed constructor joined its loop thread
         assert set(threading.enumerate()) <= before
+
+
+class TestCloseWithPendingSessions:
+    def test_close_cancels_a_pending_server_session(self, caplog):
+        """A session still waiting on its peer when the loop closes is
+        cancelled and awaited: no "Task was destroyed but it is
+        pending!", no exception escaping a coroutine's teardown."""
+        import logging
+        import socket
+        import sys
+
+        from repro.net.transport import TcpTransport
+
+        unraisable = []
+        previous_hook = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        loop = LoopThread()
+        peer = None
+        try:
+            async def session(conn):
+                await conn.recv()  # the peer never sends
+
+            listener = loop.call(
+                TcpTransport().listen("127.0.0.1:0", session)
+            )
+            host, port = listener.address.rsplit(":", 1)
+            peer = socket.create_connection((host, int(port)))
+
+            async def settle_and_stop_listening():
+                await asyncio.sleep(0.05)  # the session task is running
+                listener._server.close()  # the session stays pending
+
+            loop.call(settle_and_stop_listening())
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                loop.close()
+                del listener, session
+                gc.collect()
+        finally:
+            if peer is not None:
+                peer.close()
+            sys.unraisablehook = previous_hook
+        destroyed = [
+            r for r in caplog.records if "destroyed but it is pending" in
+            r.getMessage()
+        ]
+        assert [u.exc_value for u in unraisable] == []
+        assert destroyed == []

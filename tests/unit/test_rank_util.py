@@ -84,3 +84,52 @@ class TestQuantileFromRankTables:
     def test_no_candidates_raise(self):
         with pytest.raises(ValueError, match="no candidate values"):
             quantile_from_rank_tables([], [([], [0.0], 0.0)], 0.5)
+
+
+class TestTypedTables:
+    """A typed column's table and quantiles are the list loop's, bit for
+    bit: the loop version is the reference."""
+
+    @pytest.mark.parametrize("dtype", ["int", "float"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_typed_table_and_quantiles_equal_the_loop(self, dtype, seed):
+        import random
+
+        import numpy as np
+
+        rng = random.Random(seed)
+        tables_typed, tables_list = [], []
+        for _ in range(3):
+            n = rng.randrange(1, 300)
+            if dtype == "int":
+                values = [rng.randrange(-50, 50) for _ in range(n)]
+            else:
+                values = [rng.choice([0.5, -0.0, 1e-300, 3.25]) * rng.random()
+                          for _ in range(n)]
+            weights = [rng.choice([1, 2.5, 1 / 3, 7]) for _ in range(n)]
+            column = np.asarray(values)
+            typed = step_table(column, weights)
+            plain = step_table(values, weights)
+            assert type(typed[0]) is np.ndarray
+            assert typed[0].tolist() == plain[0]
+            assert [repr(v) for v in typed[0].tolist()] == [
+                repr(v) for v in plain[0]
+            ]
+            assert typed[1].tolist() == plain[1]  # exact, not approx
+            total = float(sum(weights))
+            tables_typed.append((*typed, total))
+            tables_list.append((*plain, total))
+        candidates = np.unique(np.concatenate([t[0] for t in tables_typed]))
+        ordered = sorted(set().union(*(t[0] for t in tables_list)))
+        for phi in (0, 0.01, 0.25, 0.5, 0.75, 0.99, 1):
+            got = quantile_from_rank_tables(candidates, tables_typed, phi)
+            want = quantile_from_rank_tables(ordered, tables_list, phi)
+            assert repr(got) == repr(want), phi
+
+    def test_nan_values_keep_the_loop_order(self):
+        import numpy as np
+
+        values = [2.0, float("nan"), 1.0, 2.0]
+        typed = step_table(np.asarray(values), [1.0] * 4)
+        plain = step_table(values, [1.0] * 4)
+        assert repr(typed) == repr(plain)

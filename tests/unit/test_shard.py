@@ -60,7 +60,7 @@ class TestShardRouter:
         router = ShardRouter(6, 2)
         for shard, local_ids, items in router.split([0, 1, 2, 3]):
             assert items is None
-            assert local_ids
+            assert len(local_ids)
 
     def test_split_rejects_bad_site_ids_atomically(self):
         router = ShardRouter(4, 2)
@@ -106,8 +106,12 @@ class TestShardRouter:
             )
         else:
             got = router.split(site_ids, items)
-        assert got == want
-        assert all(type(v) is int for _, local, _ in got for v in local)
+        assert [
+            (shard, local.tolist(), sub if type(sub) is not numpy.ndarray
+             else sub.tolist())
+            for shard, local, sub in got
+        ] == want
+        assert all(local.dtype == numpy.int64 for _, local, _ in got)
 
 
 class TestShardedServiceSurface:
@@ -132,6 +136,43 @@ class TestShardedServiceSurface:
         with pytest.raises(UnknownJobError):
             service.unregister("count")
         service.close()
+
+    def test_relaxed_post_owns_the_callers_arrays(self):
+        """A relaxed post runs on the hub's thread after ``ingest``
+        returned; the caller refilling its arrays then must not change
+        what the hub ingests."""
+        import threading
+
+        import numpy as np
+
+        def build(**kwargs):
+            service = ShardedTrackingService(
+                num_sites=8, num_shards=1, seed=3, **kwargs
+            )
+            service.register("hot", DeterministicFrequencyScheme(0.05))
+            return service
+
+        ids = np.array([i % 8 for i in range(2000)], dtype=np.int64)
+        items = np.array([(i * 7) % 13 for i in range(2000)], dtype=np.int64)
+        inline = build()
+        inline.ingest(ids, items)
+        relaxed = build(executor="thread", relaxed=True)
+        held = threading.Event()
+        relaxed._group.backends[0]._pool.submit(held.wait)  # hub busy
+        try:
+            assert relaxed.ingest(ids, items) == 2000
+            ids[:] = 0
+            items[:] = 99
+            held.set()
+            for probe in (0, 7, 99):
+                assert relaxed.query(
+                    "hot", "estimate_frequency", probe
+                ) == inline.query("hot", "estimate_frequency", probe)
+            assert relaxed.status()["comm"] == inline.status()["comm"]
+        finally:
+            held.set()
+            relaxed.close()
+            inline.close()
 
     def test_job_views_track_elements_from_registration(self):
         service = self.make()
