@@ -3,8 +3,9 @@
 Drives a running ``repro gateway`` (or a self-hosted one when no --url
 is given): registers two jobs, streams batched events through
 ``POST /v1/ingest``, queries them back, and — the important part —
-replays the *same* stream into an in-process ``TrackingService`` mirror
-and asserts the gateway's answers are identical.  Any non-2xx response
+replays the *same* stream into an in-process mirror of the gateway's
+``ShardedTrackingService`` and asserts the gateway's answers are
+identical.  Any non-2xx response
 or divergent answer exits non-zero, which is what the CI smoke job
 watches for.
 
@@ -86,11 +87,12 @@ def main() -> int:
         "-k", type=int, default=8, help="fleet size for self-hosted mode"
     )
     parser.add_argument(
-        "--shards", type=int, default=0,
-        help="the gateway runs sharded with this many shard hubs; the "
-        "verification mirror shards identically (exact equality) and an "
-        "unsharded mirror checks the composed error bound "
-        "(default 0 = unsharded gateway)",
+        "--shards", type=int, default=1,
+        help="shard hubs of the self-hosted gateway (default 1, the "
+        "identity partition `repro gateway` serves without --shards); "
+        "the verification mirror shards like the gateway (exact "
+        "equality), and past one shard an unsharded TrackingService "
+        "reference checks the composed error bound",
     )
     parser.add_argument(
         "--no-verify", action="store_true",
@@ -106,13 +108,10 @@ def main() -> int:
     else:
         from repro.net.gateway import GatewayThread
 
-        if args.shards > 0:
-            service = ShardedTrackingService(
-                num_sites=args.k, num_shards=args.shards, seed=args.seed,
-                executor="thread",
-            )
-        else:
-            service = TrackingService(num_sites=args.k, seed=args.seed)
+        service = ShardedTrackingService(
+            num_sites=args.k, num_shards=args.shards, seed=args.seed,
+            executor="thread",
+        )
         self_hosted = GatewayThread(service)
         self_hosted.__enter__()
         client = GatewayClient(self_hosted.url)
@@ -121,10 +120,9 @@ def main() -> int:
     try:
         status = client.call("GET", "/v1/status")
         k = status["sites"]
-        shards = status.get("shards", 0)  # present only on sharded gateways
-        shard_note = f", shards={shards}" if shards else ""
+        shards = status["shards"]
         print(
-            f"load_gen: fleet k={k}{shard_note}, "
+            f"load_gen: fleet k={k}, shards={shards}, "
             f"existing jobs={sorted(status['jobs'])}"
         )
 
@@ -181,14 +179,11 @@ def main() -> int:
 
         if not args.no_verify:
             # Mirror the gateway's topology exactly: explicit job seeds
-            # make the transcripts service-seed independent, and a
-            # sharded mirror derives the same per-shard seeds.
-            if shards:
-                mirror = ShardedTrackingService(
-                    num_sites=k, num_shards=shards, seed=args.seed
-                )
-            else:
-                mirror = TrackingService(num_sites=k, seed=args.seed)
+            # make the transcripts service-seed independent, and the
+            # mirror derives the same per-shard seeds.
+            mirror = ShardedTrackingService(
+                num_sites=k, num_shards=shards, seed=args.seed
+            )
             for name, spec, seed in JOBS:
                 _, _, scheme = parse_job_spec(f"{name}={spec}", 0.02)
                 mirror.register(name, scheme, seed=seed)
@@ -208,7 +203,7 @@ def main() -> int:
                 )
                 return 2
             print("load_gen: verified: HTTP == in-process (transcript-identical)")
-            if shards:
+            if shards > 1:
                 # Sharded vs unsharded: the merged count must sit within
                 # the composed error bound of an unsharded reference.
                 reference = TrackingService(num_sites=k, seed=args.seed)

@@ -479,7 +479,7 @@ def run_gateway(argv) -> int:
         "queries fan out and merge (default 1 = unsharded)",
     )
     parser.add_argument(
-        "--shard-workers", default="process",
+        "--shard-workers",
         choices=["inline", "thread", "process", "cluster"],
         help="how shard hubs execute when --shards > 1 (default: one "
         "worker process per shard, so ingest scales with cores; "
@@ -603,52 +603,33 @@ def run_gateway(argv) -> int:
             raise _UsageError(f"--alert-rules: {exc}") from None
     from .shard import ShardedTrackingService
 
-    # --relaxed and cluster workers run on the sharded facade even for a
-    # single shard (the identity partition is transcript-identical).
-    sharded = (
-        args.shards > 1 or args.shard_workers == "cluster" or args.relaxed
+    # One shard is the identity partition (transcript-identical to a
+    # single service), so every gateway serves the facade.  Hub
+    # placement defaults to a worker process per shard for a partition
+    # or a relaxed pipeline, and to inline for one lockstep shard.
+    placement = dict(
+        executor=args.shard_workers or (
+            "process" if args.shards > 1 or args.relaxed else "inline"
+        ),
+        hub_addresses=args.hubs,
+        relaxed=args.relaxed,
+        window=args.window,
+        per_site_depth=args.site_depth,
     )
+
     def open_service():
-        if not args.resume:
-            if not sharded:
-                return TrackingService(
-                    num_sites=args.k,
-                    seed=args.seed,
-                    space_budget_words=args.space_budget,
-                    checkpoint_dir=args.checkpoint_dir,
-                )
-            return ShardedTrackingService(
-                num_sites=args.k,
-                num_shards=args.shards,
-                seed=args.seed,
-                space_budget_words=args.space_budget,
-                checkpoint_dir=args.checkpoint_dir,
-                executor=args.shard_workers,
-                hub_addresses=args.hubs,
-                relaxed=args.relaxed,
-                window=args.window,
-                per_site_depth=args.site_depth,
-            )
-        if os.path.exists(os.path.join(args.checkpoint_dir, "shards.json")):
+        if args.resume:
             return ShardedTrackingService.restore(
-                args.checkpoint_dir,
-                executor=args.shard_workers,
-                hub_addresses=args.hubs,
-                relaxed=args.relaxed,
-                window=args.window,
-                per_site_depth=args.site_depth,
+                args.checkpoint_dir, **placement
             )
-        # The checkpoint fixes the topology: an unsharded bundle cannot
-        # honor hub placement or relaxed dispatch, and silently dropping
-        # those flags would leave the operator believing shards run
-        # remotely.
-        if args.relaxed or args.hubs or args.shard_workers == "cluster":
-            raise ValueError(
-                "--checkpoint-dir holds an unsharded checkpoint (no "
-                "shards.json); --relaxed/--hub/--shard-workers cluster "
-                "cannot apply on --resume"
-            )
-        return TrackingService.restore(args.checkpoint_dir)
+        return ShardedTrackingService(
+            num_sites=args.k,
+            num_shards=args.shards,
+            seed=args.seed,
+            space_budget_words=args.space_budget,
+            checkpoint_dir=args.checkpoint_dir,
+            **placement,
+        )
 
     specs = args.job or []
     if args.job is None and not (args.resume or args.no_default_jobs):

@@ -66,8 +66,9 @@ def restore_spec(spec: dict) -> dict:
     """The spec that rebuilds a worker from its durable source.
 
     Hub workers with a ``checkpoint_dir`` (or already built via
-    ``restore_from``) recover from their bundle; one without has no
-    durable source and raises :class:`ExecError`.
+    ``restore_from``) recover from their bundle, keeping the dispatch
+    mode their facade stamped; one without has no durable source and
+    raises :class:`ExecError`.
     """
     config = _hub_config(spec)
     source = config.get("restore_from") or config.get("checkpoint_dir")
@@ -79,6 +80,7 @@ def restore_spec(spec: dict) -> dict:
         {
             "restore_from": source,
             "wal_sync": config.get("wal_sync", False),
+            "dispatch_mode": config.get("dispatch_mode", "lockstep"),
         }
     )
 
@@ -93,7 +95,7 @@ def _build_hub(config: dict):
     # stamps its negotiated dispatch mode (lockstep/relaxed/windowed)
     # into the spec so hub_stats can report it from any placement —
     # including a `repro hub` actor on another machine.
-    dispatch_mode = config.pop("dispatch_mode", None)
+    dispatch_mode = config.pop("dispatch_mode", "lockstep")
     if config.get("restore_from"):
         service = TrackingService.restore(
             config["restore_from"],
@@ -103,8 +105,7 @@ def _build_hub(config: dict):
         service = TrackingService(
             **{k: v for k, v in config.items() if k != "restore_from"}
         )
-    if dispatch_mode is not None:
-        service.dispatch_mode = dispatch_mode
+    service.dispatch_mode = dispatch_mode
     return service
 
 
@@ -217,7 +218,7 @@ def hub_stats(service) -> dict:
             budget_total += budget
     return {
         "heartbeat": seq,
-        "dispatch_mode": getattr(service, "dispatch_mode", "lockstep"),
+        "dispatch_mode": service.dispatch_mode,
         "elements": service.elements_processed,
         "rounds": int(service.engine.stats.get("batches", 0)),
         "site_calls": int(service.engine.stats.get("site_calls", 0)),

@@ -16,8 +16,8 @@ This package turns the in-process protocol stacks into a real system:
   run any scheme over loopback or TCP with transcripts byte-identical
   to :class:`~repro.runtime.Simulation`, checkpoint/restore included.
 * :mod:`repro.net.gateway` — the HTTP/JSON query gateway over a
-  :class:`~repro.service.TrackingService` (request batching, bounded
-  ingest queue with backpressure).
+  :class:`~repro.shard.ShardedTrackingService` (request batching,
+  bounded ingest queue with backpressure).
 
 Quickstart::
 

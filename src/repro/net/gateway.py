@@ -2,10 +2,11 @@
 
 A small asyncio HTTP/1.1 server (stdlib only — hand-rolled request
 parsing over ``asyncio.start_server``) exposing the
-:class:`~repro.service.TrackingService` surface.  The routes are the
-rows of :attr:`Gateway._ROUTES` (each says what it serves): the one
-table that dispatch, the 404 / 405 answers and the ``route`` label of
-the request metrics are all read from.
+:class:`~repro.shard.ShardedTrackingService` surface — one shard hub or
+many, so every topology has one status, fleet and metrics shape.  The
+routes are the rows of :attr:`Gateway._ROUTES` (each says what it
+serves): the one table that dispatch, the 404 / 405 answers and the
+``route`` label of the request metrics are all read from.
 
 Ingestion goes through the :class:`~repro.service.AsyncBatchIngestor`:
 requests are coalesced into engine batches and admission is bounded —
@@ -26,8 +27,8 @@ backends, cluster transports, fleet monitor, alert manager — declares
 and bridges its own through ``register_metrics(registry)``
 (``docs/observability.md`` names each family's owner).  ``/metrics``
 and ``/healthz`` read the same registry, so the two surfaces cannot
-disagree.  Scrapes run under the service lock; on a relaxed sharded
-facade they fence outstanding batches, exactly like ``/v1/status``.
+disagree.  Scrapes run under the service lock; on a relaxed facade
+they fence outstanding batches, exactly like ``/v1/status``.
 
 **Standing queries.**  ``POST /v1/subscribe`` registers a spec —
 ``{"kind": "query", "job", "method", "args"}`` (delta on every change
@@ -65,7 +66,7 @@ import json
 import math
 import time
 from collections import deque
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 from urllib.parse import parse_qsl, urlsplit
 
 import numpy as _np
@@ -86,11 +87,14 @@ from ..obs import (
 from ..obs.alerts import check_comparison, holds
 from ..obs.metrics import DEFAULT_BUCKETS, LATENCY_BUCKETS, SIZE_BUCKETS
 from ..obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
-from ..service import ServiceError, TrackingService
+from ..service import ServiceError
 from ..service.async_ingest import AsyncBatchIngestor
 from ..service.errors import DuplicateJobError, UnknownJobError
 from ..service.jobspec import parse_job_spec, parse_query_literal
 from .transport import LoopThread
+
+if TYPE_CHECKING:  # the facade imports the exec plane, which imports net
+    from ..shard import ShardedTrackingService
 
 __all__ = ["Gateway", "GatewayThread", "TokenBucket", "jsonable"]
 
@@ -100,8 +104,8 @@ _SSE_KEEPALIVE = 15.0
 #: client reconnect hint (the SSE ``retry:`` field), milliseconds
 _SSE_RETRY_MS = 3000
 
-#: scrape-side cache of the service's ``metrics_sample`` (a fan-out on
-#: sharded facades); scrapes within the TTL reuse the last sample
+#: scrape-side cache of the service's ``metrics_sample`` (a fan-out to
+#: the shard hubs); scrapes within the TTL reuse the last sample
 _SAMPLE_TTL = 0.5
 
 _MAX_BODY = 64 * 1024 * 1024
@@ -241,8 +245,8 @@ class Gateway:
     Parameters
     ----------
     service:
-        The :class:`TrackingService` to expose (caller keeps ownership —
-        and responsibility for ``close()``).
+        The :class:`~repro.shard.ShardedTrackingService` to expose
+        (caller keeps ownership — and responsibility for ``close()``).
     host / port:
         Bind address; port 0 picks an ephemeral port (see :attr:`port`).
     capacity_events / max_batch_events:
@@ -274,14 +278,13 @@ class Gateway:
         ``GET /v1/alerts`` then answers with an empty rule set.
     fleet_interval:
         Seconds between fleet heartbeat polls (``hub_stats`` to every
-        shard hub — or to the in-process service when unsharded).  The
-        monitor behind it feeds ``GET /v1/fleet``, the
+        shard hub).  The monitor behind it feeds ``GET /v1/fleet``, the
         ``repro_fleet_*`` families, and ``fleet``-kind alert rules.
     """
 
     def __init__(
         self,
-        service: TrackingService,
+        service: ShardedTrackingService,
         host: str = "127.0.0.1",
         port: int = 0,
         capacity_events: int = 1 << 16,
@@ -321,9 +324,9 @@ class Gateway:
         if max_ingest_rate is not None:
             self._buckets[None] = TokenBucket(max_ingest_rate, self._burst)
         self._server: Optional[asyncio.base_events.Server] = None
-        #: the service's dispatch-plane span buffer.  The ingestor
-        #: records its per-round "round" spans here too, so gateway,
-        #: facade and (unsharded) hub spans share one buffer.
+        #: the facade's dispatch-plane span buffer.  The ingestor
+        #: records its per-round "round" spans here too, so gateway and
+        #: facade spans share one buffer (hub spans are collected).
         self.spans: SpanRecorder = service.spans
         self.ingestor.spans = self.spans
         #: hub-side spans already collected from remote shard hubs
@@ -350,8 +353,8 @@ class Gateway:
         self._init_metrics()
 
     def _init_fleet(self, fleet_interval: float) -> FleetMonitor:
-        """Heartbeat the service's poll targets (one per shard hub; the
-        service itself unsharded), each poll *under the ingest lock*.
+        """Heartbeat the service's poll targets (one per shard hub), each
+        poll *under the ingest lock*.
 
         Liveness transitions wake the evaluator (via
         ``call_soon_threadsafe``) only when ``fleet``-kind alert rules
@@ -470,8 +473,8 @@ class Gateway:
             self.m_queue_stats.labels(stat).value = float(value)
 
     def _service_sample(self) -> dict:
-        """The service's ``metrics_sample`` (a fan-out on sharded
-        facades), shared by scrapes within ``_SAMPLE_TTL``."""
+        """The service's ``metrics_sample`` (a fan-out to the shard
+        hubs), shared by scrapes within ``_SAMPLE_TTL``."""
         now = time.monotonic()
         if (
             self._sample_cache is None
@@ -973,9 +976,7 @@ class Gateway:
 
         ``collect_spans`` *drains* hub buffers (fencing relaxed batches
         like any collecting command), so collected spans are retained
-        in a gateway-side ring — repeated reads keep seeing them.  (An
-        unsharded service records straight into ``self.spans`` and
-        collects nothing.)
+        in a gateway-side ring — repeated reads keep seeing them.
         """
         self._hub_spans.extend(self.service.collect_spans())
         merged = list(self.spans.dump()) + list(self._hub_spans)
@@ -1330,7 +1331,7 @@ class GatewayThread:
             urllib.request.urlopen(gw.url + "/healthz")
     """
 
-    def __init__(self, service: TrackingService, **gateway_kwargs):
+    def __init__(self, service: ShardedTrackingService, **gateway_kwargs):
         self.service = service
         self.gateway_kwargs = gateway_kwargs
         self.gateway: Optional[Gateway] = None

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional
 
-from ..obs.fleet import FleetTarget
 from ..obs.tracing import SpanRecorder, current_trace
 from ..runtime import CommStats, TrackingScheme, derive_seed
 from ..runtime.batching import batch_from_stream, batches_from_stream
@@ -32,16 +31,15 @@ from .job import TrackingJob
 __all__ = ["TrackingService", "register_service_metrics"]
 
 
-def register_service_metrics(
-    registry, sample: Callable[[], dict], shards_of: Callable[[dict], list]
-) -> None:
+def register_service_metrics(registry, sample: Callable[[], dict]) -> None:
     """Declare the service layer's families on ``registry`` and bridge
     ``sample()`` into them at every scrape.
 
-    ``sample`` returns a :meth:`TrackingService.metrics_sample`-shaped
-    dict (the sharded facade's merged one has the same fields);
-    ``shards_of(entry)`` lists the per-shard ``{"shard": ...}`` detail
-    of the whole sample (``elements``) or of one job's entry
+    ``sample`` returns the sharded facade's merged
+    :meth:`~repro.shard.ShardedTrackingService.metrics_sample`: the
+    :meth:`TrackingService.metrics_sample` fields summed over the hubs,
+    plus a ``shards`` list of per-shard ``{"shard": ...}`` detail on
+    the whole sample (``elements``) and on each job's entry
     (``space``).  Values are assigned, not incremented — the totals are
     owned by the service, so the bridge is idempotent across scrapes.
     """
@@ -127,13 +125,13 @@ def register_service_metrics(
                 info["comm"].get("total_words", 0)
             )
             budget = info["budget"]
-            for entry in shards_of(info):
+            for entry in info["shards"]:
                 shard = str(entry["shard"])
                 used = entry["space"]["max_site_words"]
                 space_used.labels(shard, name).set(used)
                 if budget is not None:
                     space_available.labels(shard, name).set(budget - used)
-        for entry in shards_of(current):
+        for entry in current["shards"]:
             shard_elements.labels(str(entry["shard"])).value = float(
                 entry["elements"]
             )
@@ -197,8 +195,7 @@ class TrackingService:
         #: command carrying a trace), so untraced hot paths pay one
         #: thread-local read per batch and nothing more.  On shard
         #: hubs the facade drains this via the ``collect_spans``
-        #: command; on an unsharded gateway it doubles as the gateway's
-        #: own ``/v1/trace`` buffer.
+        #: command.
         self.spans = SpanRecorder()
         self._jobs: Dict[str, TrackingJob] = {}
         self._manager = None  # CheckpointManager when durability is on
@@ -404,8 +401,8 @@ class TrackingService:
         Cheaper and flatter than :meth:`status` (no query evaluation —
         a scrape must never run estimators), but it does refresh each
         job's space high-water marks so per-shard used/available words
-        are current.  The shard facade fans this out per hub, and
-        :meth:`register_metrics` bridges the result into a registry.
+        are current.  The shard facade fans this out per hub and merges
+        the replies for :func:`register_service_metrics`.
         """
         jobs = {}
         for name, job in self._jobs.items():
@@ -426,54 +423,7 @@ class TrackingService:
             "jobs": jobs,
         }
 
-    def register_metrics(self, registry, sample: Callable[[], dict]) -> None:
-        """Declare this layer's families on ``registry``; ``sample()``
-        supplies :meth:`metrics_sample` at scrape time (a frontend may
-        pass a cached one).  An unsharded service is its own shard 0."""
-        register_service_metrics(
-            registry, sample, lambda entry: [dict(entry, shard=0)]
-        )
-
-    def fleet_targets(self, lock) -> list:
-        """The fleet plane's poll targets: this service, in-process.
-
-        Each poll takes ``lock`` (the frontend's ingest lock), so a
-        heartbeat reads the service on a batch boundary.
-        """
-        from ..exec.workers import hub_stats  # deferred: cycle
-
-        def poll() -> dict:
-            with lock:
-                return hub_stats(self)
-
-        return [FleetTarget("0", poll, address="in-process")]
-
-    def collect_spans(self) -> list:
-        """Spans buffered on remote hubs: none — an unsharded service
-        records straight into :attr:`spans`."""
-        return []
-
-    def error_bound(self, name: str) -> dict:
-        """The paper's additive error accounting for one job:
-        ``bound`` is ``epsilon * n``."""
-        job = self.job(name)
-        epsilon = getattr(job.scheme, "epsilon", None)
-        if epsilon is None:
-            raise ValueError(f"job {name!r} scheme has no epsilon")
-        return {
-            "epsilon": epsilon,
-            "elements": job.elements_processed,
-            "bound": float(epsilon) * job.elements_processed,
-        }
-
     # -- budgets -----------------------------------------------------------
-
-    def has_space_budgets(self) -> bool:
-        """True when any registered job carries a space budget."""
-        return any(
-            job.space_budget_words is not None
-            for job in self._jobs.values()
-        )
 
     def space_overages(self) -> dict:
         """Jobs whose high-water site space exceeds their budget.
@@ -599,10 +549,6 @@ class TrackingService:
         """Release the WAL file handle (no-op without durability)."""
         if self._manager is not None:
             self._manager.close()
-
-    def topology(self) -> str:
-        """The fleet layout in one operator-facing phrase."""
-        return f"k={self.num_sites}"
 
     def __repr__(self) -> str:
         return (

@@ -26,6 +26,8 @@ from typing import List, Tuple
 
 import numpy as _np
 
+from ..runtime.batching import as_column
+
 __all__ = ["ShardRouter"]
 
 
@@ -116,13 +118,23 @@ class ShardRouter:
         carrier (:func:`repro.runtime.batching.as_column`): a typed
         array is sliced by one fancy index, a list by position, and
         ``items=None`` (count-style unit streams) stays ``None``.
-        Raises :class:`ValueError` on any out-of-range site id *before*
-        any routing, so a bad batch is rejected atomically.
+        Raises :class:`ValueError` on any site id that is not an
+        integer within int64 (the carrier rule leaves such a column a
+        list) or is out of range, *before* any routing, so a bad batch
+        is rejected atomically.
         """
-        ids = _np.asarray(site_ids, dtype=_np.int64)
-        n = int(ids.shape[0])
+        ids = as_column(site_ids)
+        n = len(ids)
         if n == 0:
             return []
+        if not isinstance(ids, _np.ndarray) or ids.dtype != _np.int64:
+            got = (
+                ids.dtype.name if isinstance(ids, _np.ndarray)
+                else ", ".join(sorted({type(v).__name__ for v in ids}))
+            )
+            raise ValueError(
+                f"site ids must be integers within int64, got {got}"
+            )
         if int(ids.min()) < 0 or int(ids.max()) >= self.num_sites:
             bad = int(ids.min()) if int(ids.min()) < 0 else int(ids.max())
             raise ValueError(

@@ -53,6 +53,7 @@ from ..exec.workers import hub_spec
 from ..obs.fleet import FleetTarget
 from ..obs.metrics import DEFAULT_BUCKETS, SIZE_BUCKETS, Histogram
 from ..obs.tracing import SpanRecorder
+from ..persistence.snapshot import latest_snapshot
 from ..runtime import TrackingScheme, derive_seed
 from ..runtime.batching import as_column, batches_from_stream
 from ..service.errors import DuplicateJobError, UnknownJobError
@@ -166,7 +167,7 @@ class ShardedTrackingService:
         relaxed: bool = False,
         window: Optional[int] = None,
         per_site_depth: Optional[int] = None,
-        _restore: bool = False,
+        _restore: Optional[List[str]] = None,
     ):
         self.router = ShardRouter(num_sites, num_shards)
         self.num_sites = num_sites
@@ -213,30 +214,26 @@ class ShardedTrackingService:
             )
         configs = []
         for shard in range(num_shards):
-            config = {
-                "num_sites": self.router.shard_size(shard),
-                "seed": self._shard_seed(seed, shard),
-                "one_way": one_way,
-                "uplink_drop_rate": uplink_drop_rate,
-                "space_sample_interval": space_sample_interval,
-                "space_budget_words": space_budget_words,
-                "wal_sync": wal_sync,
-                "dispatch_mode": ledger.mode,
-            }
-            if checkpoint_dir is not None:
-                shard_dir = self._shard_dir(checkpoint_dir, shard)
-                if _restore:
-                    config = {
-                        "restore_from": shard_dir,
-                        "wal_sync": wal_sync,
-                        "dispatch_mode": ledger.mode,
-                    }
-                else:
-                    config["checkpoint_dir"] = shard_dir
-            elif _restore:
-                raise ValueError("restore requires a checkpoint_dir")
+            # restore() hands each hub the bundle it recovers from
+            if _restore is not None:
+                config = {"restore_from": _restore[shard]}
+            else:
+                config = {
+                    "num_sites": self.router.shard_size(shard),
+                    "seed": self._shard_seed(seed, shard),
+                    "one_way": one_way,
+                    "uplink_drop_rate": uplink_drop_rate,
+                    "space_sample_interval": space_sample_interval,
+                    "space_budget_words": space_budget_words,
+                }
+            config["wal_sync"] = wal_sync
+            config["dispatch_mode"] = ledger.mode
+            if checkpoint_dir is not None and _restore is None:
+                config["checkpoint_dir"] = self._shard_dir(
+                    checkpoint_dir, shard
+                )
             configs.append(config)
-        if checkpoint_dir is not None and not _restore:
+        if checkpoint_dir is not None and _restore is None:
             self._write_manifest(checkpoint_dir)
         self._group = make_group(
             executor,
@@ -244,7 +241,7 @@ class ShardedTrackingService:
             hub_addresses=hub_addresses,
             ledger=ledger,
         )
-        if _restore:
+        if _restore is not None:
             self._rebuild_from_shards()
 
     # -- seeds & layout ----------------------------------------------------
@@ -733,9 +730,7 @@ class ShardedTrackingService:
         scrape time (a frontend may pass a cached one).  Histograms are
         this facade's own instruments, attached; plain counters are
         mirrored by a collector."""
-        register_service_metrics(
-            registry, sample, lambda entry: entry["shards"]
-        )
+        register_service_metrics(registry, sample)
         for name, help_text, buckets, instrument in (
             ("repro_shard_merge_seconds",
              "Cross-shard query merge latency (fan-out included).",
@@ -837,21 +832,38 @@ class ShardedTrackingService:
         ``executor="cluster"`` the bundles are restored *on the hub
         hosts* (paths are resolved on their filesystem), so remote
         shard hubs recover in place behind the same facade.
+
+        A directory without ``shards.json`` is one
+        :class:`~repro.service.TrackingService`'s own bundle (what
+        ``TrackingService(checkpoint_dir=...)`` and ``repro serve``
+        write): it resumes as a one-shard layout whose hub recovers
+        the directory in place, with the manifest fields taken from
+        its newest snapshot's ``config``.  Nothing is rewritten, so the
+        directory stays a single-service bundle.
         """
         path = os.path.join(checkpoint_dir, _MANIFEST)
         try:
             with open(path) as f:
                 manifest = json.load(f)
         except FileNotFoundError:
-            raise FileNotFoundError(
-                f"no shard manifest at {path!r}; was this directory "
-                "created by ShardedTrackingService(checkpoint_dir=...)?"
-            ) from None
-        if manifest.get("format") != _MANIFEST_FORMAT:
-            raise ValueError(
-                f"unsupported shard manifest format "
-                f"{manifest.get('format')!r} in {path!r}"
-            )
+            state = latest_snapshot(checkpoint_dir)
+            if state is None:
+                raise FileNotFoundError(
+                    f"no shard manifest or snapshot under "
+                    f"{checkpoint_dir!r}; nothing to restore"
+                ) from None
+            manifest = dict(state["config"], num_shards=1)
+            bundles = [checkpoint_dir]
+        else:
+            if manifest.get("format") != _MANIFEST_FORMAT:
+                raise ValueError(
+                    f"unsupported shard manifest format "
+                    f"{manifest.get('format')!r} in {path!r}"
+                )
+            bundles = [
+                cls._shard_dir(checkpoint_dir, shard)
+                for shard in range(manifest["num_shards"])
+            ]
         return cls(
             num_sites=manifest["num_sites"],
             num_shards=manifest["num_shards"],
@@ -866,7 +878,7 @@ class ShardedTrackingService:
             relaxed=relaxed,
             window=window,
             per_site_depth=per_site_depth,
-            _restore=True,
+            _restore=bundles,
         )
 
     def _rebuild_from_shards(self) -> None:

@@ -15,7 +15,6 @@ import urllib.request
 
 from repro import DeterministicCountScheme
 from repro.net.gateway import GatewayThread
-from repro.service import TrackingService
 from repro.shard import ShardedTrackingService
 
 FLEET_INTERVAL = 0.1
@@ -108,14 +107,15 @@ def test_sharded_fleet_reports_every_hub_up_with_capacity():
         service.close()
 
 
-def test_unsharded_gateway_monitors_the_local_service():
-    service = TrackingService(num_sites=4, seed=3)
+def test_one_shard_gateway_monitors_its_inline_hub():
+    service = ShardedTrackingService(num_sites=4, num_shards=1, seed=3)
     service.register("total", DeterministicCountScheme(0.05))
     try:
         with GatewayThread(service, fleet_interval=FLEET_INTERVAL) as gw:
             assert wait_for(lambda: fleet_states(gw)["up"] == 1)
             (hub,) = get(gw.url + "/v1/fleet")["hubs"]
-            assert hub["address"] == "in-process"
+            assert (hub["hub"], hub["address"]) == ("0", "InprocBackend")
+            assert (hub["dispatch_mode"], hub["pending"]) == ("lockstep", 0)
             assert hub["process"]["rss_bytes"] > 0
     finally:
         service.close()

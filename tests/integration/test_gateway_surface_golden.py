@@ -6,10 +6,12 @@ families (``python tests/integration/test_gateway_surface_golden.py``
 prints it), when ``Gateway._route`` was an ``if`` chain,
 ``_route_template`` restated it for the ``route`` label, and
 ``Gateway._init_metrics`` declared every layer's families.  It pins, for
-an unsharded gateway, a 2-shard inline ``relaxed=True, window=8192,
-per_site_depth=2`` one and a 1-shard self-hosted TCP (``cluster``) one,
-after one job registration, one subscription, one ingest, one query and
-one alert rule of each kind:
+a 1-shard inline gateway (``one_shard``, what ``repro gateway`` serves
+without ``--shards``; regenerated when the gateway stopped serving a
+bare ``TrackingService``), a 2-shard inline ``relaxed=True,
+window=8192, per_site_depth=2`` one and a 1-shard self-hosted TCP
+(``cluster``) one, after one job registration, one subscription, one
+ingest, one query and one alert rule of each kind:
 
 * ``families`` — the sorted ``(family, TYPE, HELP, label names)`` list
   of ``GET /metrics``;
@@ -38,7 +40,6 @@ import urllib.request
 
 import pytest
 
-from repro import TrackingService
 from repro.net.gateway import GatewayThread
 from repro.shard import ShardedTrackingService
 
@@ -62,7 +63,9 @@ RULES = {
 }
 
 SERVICES = {
-    "unsharded": lambda: TrackingService(num_sites=8, seed=5),
+    "one_shard": lambda: ShardedTrackingService(
+        num_sites=8, num_shards=1, seed=5,
+    ),
     "sharded": lambda: ShardedTrackingService(
         num_sites=8, num_shards=2, seed=5, executor="inline",
         relaxed=True, window=8192, per_site_depth=2,
@@ -278,7 +281,7 @@ def surface(name):
                     gw, method, path, body
                 )
             out["routes"] = routes
-        if name == "unsharded":
+        if name == "one_shard":
             with GatewayThread(service, api_keys=dict(KEYS)) as gw:
                 out["auth_routes"] = {
                     f"{method} {path} key={key}": probe(gw, method, path, None, key)

@@ -22,7 +22,6 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.net.gateway import GatewayThread
-from repro.service import TrackingService
 from repro.service.jobspec import parse_job_spec
 from repro.shard import ShardedTrackingService
 
@@ -375,7 +374,7 @@ class TestStandingQueries:
 
 class TestAuthAndOpenScrape:
     def test_metrics_open_but_v1_guarded(self):
-        service = TrackingService(num_sites=4, seed=1)
+        service = ShardedTrackingService(num_sites=4, num_shards=1, seed=1)
         with GatewayThread(service, api_keys={"k1": "acme"}) as gw:
             text = scrape(gw)  # no credentials needed
             assert "repro_gateway_requests_total" in text
@@ -389,7 +388,7 @@ class TestAuthAndOpenScrape:
         service.close()
 
     def test_ingest_counted_per_tenant(self):
-        service = TrackingService(num_sites=4, seed=1)
+        service = ShardedTrackingService(num_sites=4, num_shards=1, seed=1)
         _, _, scheme = parse_job_spec("c=count/deterministic:0.05", 0.05)
         service.register("c", scheme)
         with GatewayThread(
@@ -607,7 +606,7 @@ class TestAlertsEndToEnd:
                 "for": 0.3,
             }],
         }
-        service = TrackingService(num_sites=8, seed=1)
+        service = ShardedTrackingService(num_sites=8, num_shards=1, seed=1)
         with GatewayThread(service, alert_rules=rules) as gw:
             ingest(gw, n=10)  # predicate holds -> pending
 

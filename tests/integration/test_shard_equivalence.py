@@ -17,6 +17,8 @@ The contract of :mod:`repro.shard`:
 """
 
 import bisect
+import os
+import shutil
 
 import pytest
 
@@ -254,3 +256,76 @@ class TestEdgeCases:
         accounting = composed_error_bound(0.05, [100, 0, 300])
         assert accounting["bound"] == pytest.approx(0.05 * 400)
         assert accounting["per_shard_bounds"] == [5.0, 0.0, 15.0]
+
+
+class TestSingleServiceCheckpointResume:
+    """A ``TrackingService`` checkpoint directory (snapshot + WAL tail,
+    no ``shards.json``) resumes into the facade as its one shard, with
+    the answers, ledgers and element count ``TrackingService.restore``
+    gives — before and after one more batch."""
+
+    SPLIT, RESUMED, EXTRA = 6_000, 12_000, 15_000
+    GRID = [i / 10 for i in range(1, 10)]
+
+    @staticmethod
+    def observed(service):
+        status = service.status()
+        return {
+            "count": service.query("count"),
+            "quantiles": [
+                service.query("rank", "quantile", phi)
+                for phi in TestSingleServiceCheckpointResume.GRID
+            ],
+            "hitters": service.query("freq", "heavy_hitters", 0.01),
+            "comm": status["comm"],
+            "job_comm": {
+                name: job["comm"] for name, job in status["jobs"].items()
+            },
+            "elements": service.elements_processed,
+        }
+
+    @pytest.mark.parametrize(
+        "executor, relaxed", [("inline", False), ("thread", True)]
+    )
+    def test_facade_resumes_a_service_checkpoint(
+        self, tmp_path, stream, executor, relaxed
+    ):
+        ids, items = stream
+        written = str(tmp_path / "written")
+        writer = TrackingService(
+            num_sites=K, seed=SEED, checkpoint_dir=written
+        )
+        writer.register("count", RandomizedCountScheme(0.02))
+        writer.register("rank", RandomizedRankScheme(0.05))
+        writer.register("freq", RandomizedFrequencyScheme(0.05))
+        writer.ingest(ids[: self.SPLIT], items[: self.SPLIT])
+        writer.checkpoint()
+        writer.ingest(  # the WAL tail past the snapshot
+            ids[self.SPLIT: self.RESUMED], items[self.SPLIT: self.RESUMED]
+        )
+        writer.close()
+        reference_dir = str(tmp_path / "reference")
+        facade_dir = str(tmp_path / "facade")
+        shutil.copytree(written, reference_dir)
+        shutil.copytree(written, facade_dir)
+
+        reference = TrackingService.restore(reference_dir)
+        facade = ShardedTrackingService.restore(
+            facade_dir, executor=executor, relaxed=relaxed
+        )
+        try:
+            assert facade.num_shards == 1 and facade.num_sites == K
+            assert facade.elements_processed == self.RESUMED
+            assert self.observed(facade) == self.observed(reference)
+            tail = slice(self.RESUMED, self.EXTRA)
+            reference.ingest(ids[tail], items[tail])
+            facade.ingest(ids[tail], items[tail])
+            assert self.observed(facade) == self.observed(reference)
+        finally:
+            facade.close()
+            reference.close()
+        # read in place: the directory stays a single-service bundle
+        assert not os.path.exists(os.path.join(facade_dir, "shards.json"))
+        again = TrackingService.restore(facade_dir)
+        assert again.elements_processed == self.EXTRA
+        again.close()

@@ -11,10 +11,18 @@ client subcommands' own flag checks; none of them had a test.
 
 import json
 import os
+import subprocess
+import sys
+import urllib.request
 
 import pytest
 
-from repro import TrackingService
+import repro
+from repro import (
+    RandomizedCountScheme,
+    ShardedTrackingService,
+    TrackingService,
+)
 from repro.cli import main
 from repro.net.gateway import GatewayThread
 
@@ -117,24 +125,39 @@ def test_gateway_alert_rules_errors(tmp_path, capsys):
     )
 
 
-def test_gateway_resume_refuses_topology_flags_on_unsharded_checkpoint(
-    tmp_path, capsys
+def test_gateway_resume_applies_topology_flags_on_service_checkpoint(
+    tmp_path,
 ):
+    # A single-service checkpoint (no shards.json) resumes as the
+    # facade's one shard, so --relaxed applies instead of being refused.
     ckpt = str(tmp_path / "ckpt")
-    TrackingService(num_sites=4, checkpoint_dir=ckpt).close()
-    refusal = (
-        "error: --checkpoint-dir holds an unsharded checkpoint (no "
-        "shards.json); --relaxed/--hub/--shard-workers cluster cannot "
-        "apply on --resume\n"
+    service = TrackingService(num_sites=4, seed=1, checkpoint_dir=ckpt)
+    service.register("total", RandomizedCountScheme(0.05))
+    service.ingest([0, 1, 2, 3] * 250)  # a WAL tail past the snapshot
+    service.close()
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
     )
-    for flags in (
-        ["--relaxed"],
-        ["--shard-workers", "cluster"],
-        ["--shard-workers", "cluster", "--hub", "127.0.0.1:1"],
-    ):
-        argv = ["gateway", "--checkpoint-dir", ckpt, "--resume"] + flags
-        assert main(argv) == 2
-        assert capsys.readouterr().err == refusal
+    gateway = subprocess.Popen(
+        [sys.executable, "-m", "repro", "gateway", "--listen",
+         "127.0.0.1:0", "--checkpoint-dir", ckpt, "--resume", "--relaxed"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env,
+    )
+    try:
+        banner = gateway.stdout.readline()
+        assert banner.startswith("gateway listening on "), banner
+        url = banner.split()[3]
+        with urllib.request.urlopen(url + "/v1/status", timeout=30) as r:
+            status = json.load(r)
+        assert status["elements"] == 1000
+        assert (status["shards"], status["relaxed"]) == (1, True)
+    finally:
+        gateway.terminate()
+        output = gateway.communicate(timeout=60)[0]
+    assert gateway.returncode == 0, output
 
 
 def test_gateway_resume_missing_checkpoint(tmp_path, capsys):
@@ -175,7 +198,7 @@ def test_query_failure_lines(capsys):
         f"error: connection refused at {DEAD} — is the gateway running? "
         "(start one with `repro gateway`)\n"
     )
-    service = TrackingService(num_sites=4, seed=1)
+    service = ShardedTrackingService(num_sites=4, num_shards=1, seed=1)
     with GatewayThread(service) as gw:
         assert main(["query", gw.url, "ghost"]) == 1
         assert capsys.readouterr().err == (

@@ -119,6 +119,22 @@ class TestHubConformance:
             assert after != before
 
     @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_restore_keeps_the_dispatch_mode(self, executor, tmp_path):
+        directory = str(tmp_path / f"hub-{executor}")
+        with hub_backend(
+            executor, checkpoint_dir=directory, dispatch_mode="relaxed"
+        ) as backend:
+            build_jobs(backend)
+            backend.dispatch_batch(STREAM, ITEMS)
+            assert backend.dispatch_run("hub_stats")["dispatch_mode"] == (
+                "relaxed"
+            )
+            backend.restore()
+            stats = backend.dispatch_run("hub_stats")
+            assert stats["dispatch_mode"] == "relaxed"
+            assert stats["elements"] == len(STREAM)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_restore_without_durable_source_raises(self, executor):
         with hub_backend(executor) as backend:
             with pytest.raises(ExecError):

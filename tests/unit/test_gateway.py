@@ -7,14 +7,14 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro import RandomizedRankScheme, TrackingService
+from repro import RandomizedRankScheme, ShardedTrackingService, TrackingService
 from repro.cli import main as cli_main
 from repro.net.gateway import GatewayThread, jsonable
 
 
 @pytest.fixture()
 def gateway():
-    service = TrackingService(num_sites=8, seed=5)
+    service = ShardedTrackingService(num_sites=8, num_shards=1, seed=5)
     with GatewayThread(service) as gw:
         yield gw
     service.close()
@@ -299,7 +299,7 @@ class TestQueryCli:
 
 class TestQuotaEnforcement:
     def test_rate_limit_429_with_retry_after(self):
-        service = TrackingService(num_sites=4, seed=1)
+        service = ShardedTrackingService(num_sites=4, num_shards=1, seed=1)
         with GatewayThread(
             service, max_ingest_rate=10.0, ingest_burst=100
         ) as gw:
@@ -333,8 +333,8 @@ class TestQuotaEnforcement:
         service.close()
 
     def test_space_budget_413(self):
-        service = TrackingService(num_sites=4, seed=2,
-                                  space_sample_interval=64)
+        service = ShardedTrackingService(num_sites=4, num_shards=1, seed=2,
+                                         space_sample_interval=64)
         with GatewayThread(service) as gw:
             request(
                 gw, "POST", "/v1/jobs",
@@ -369,7 +369,7 @@ class TestQuotaEnforcement:
         service.close()
 
     def test_no_quota_no_rejections(self):
-        service = TrackingService(num_sites=4, seed=3)
+        service = ShardedTrackingService(num_sites=4, num_shards=1, seed=3)
         with GatewayThread(service) as gw:
             request(
                 gw, "POST", "/v1/jobs",
@@ -418,8 +418,6 @@ class TestTokenBucket:
 
 class TestShardedGateway:
     def test_full_surface_over_sharded_service(self):
-        from repro import ShardedTrackingService
-
         service = ShardedTrackingService(
             num_sites=8, num_shards=4, seed=5, executor="thread"
         )
@@ -486,4 +484,48 @@ class TestShardedGateway:
             assert "mergeable methods" in body["error"]
             status, body = get(gw, "/v1/query/r?method=estimate_rank&arg=400")
             assert status == 200 and body["result"] > 0
+        service.close()
+
+
+class TestSiteIdValidation:
+    """Non-integer site ids are a 400 at the facade's one entry, on every
+    placement, with nothing ingested and the hubs still in step."""
+
+    BAD = (["0"], [1.5], [True], [None], [[0]], [2**70])
+
+    @pytest.mark.parametrize(
+        "placement",
+        [
+            {},
+            {"relaxed": True, "window": 64, "per_site_depth": 2},
+            {"executor": "cluster"},
+        ],
+        ids=["inline-lockstep", "inline-windowed", "cluster"],
+    )
+    def test_non_integer_site_ids_are_400(self, placement):
+        service = ShardedTrackingService(
+            num_sites=4, num_shards=1, seed=5, **placement
+        )
+        with GatewayThread(service) as gw:
+            request(
+                gw, "POST", "/v1/jobs",
+                {"name": "total", "spec": "count/deterministic:0.1"},
+            )
+            status, _ = request(
+                gw, "POST", "/v1/ingest", {"site_ids": [0, 1, 2]}
+            )
+            assert status == 200
+            for site_ids in self.BAD:
+                status, body = request(
+                    gw, "POST", "/v1/ingest", {"site_ids": site_ids}
+                )
+                assert status == 400, (site_ids, body)
+                assert "site ids must be integers" in body["error"]
+                _, body = get(gw, "/v1/status")
+                hubs = sum(d["elements"] for d in body["shard_detail"])
+                assert body["elements"] == hubs == 3, site_ids
+                status, body = request(
+                    gw, "POST", "/v1/query", {"job": "total"}
+                )
+                assert status == 200, (site_ids, body)
         service.close()

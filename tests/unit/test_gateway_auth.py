@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from repro import TrackingService
+from repro import ShardedTrackingService
 from repro.net.gateway import Gateway, GatewayThread
 
 KEYS = {"key-alpha": "tenant-alpha", "key-beta": "tenant-beta"}
@@ -33,7 +33,7 @@ def status_of(exc: urllib.error.HTTPError):
 
 @pytest.fixture()
 def gateway():
-    service = TrackingService(num_sites=4, seed=1)
+    service = ShardedTrackingService(num_sites=4, num_shards=1, seed=1)
     with GatewayThread(service, api_keys=dict(KEYS)) as gw:
         yield gw
     service.close()
@@ -99,7 +99,7 @@ class TestAuthPaths:
 
 class TestPerKeyBuckets:
     def test_one_tenant_cannot_starve_another(self):
-        service = TrackingService(num_sites=4, seed=1)
+        service = ShardedTrackingService(num_sites=4, num_shards=1, seed=1)
         with GatewayThread(
             service,
             api_keys=dict(KEYS),
@@ -122,7 +122,7 @@ class TestPerKeyBuckets:
         service.close()
 
     def test_gateway_wide_bucket_without_auth(self):
-        service = TrackingService(num_sites=4, seed=1)
+        service = ShardedTrackingService(num_sites=4, num_shards=1, seed=1)
         with GatewayThread(
             service, max_ingest_rate=1.0, ingest_burst=10
         ) as gw:
@@ -185,7 +185,7 @@ class TestQueryCliClient:
 
 class TestValidation:
     def test_empty_or_malformed_key_maps_rejected(self):
-        service = TrackingService(num_sites=2, seed=0)
+        service = ShardedTrackingService(num_sites=2, num_shards=1, seed=0)
         try:
             for bad in ({}, {"": "t"}, {"k": 7}, ["k"]):
                 with pytest.raises(ValueError):
