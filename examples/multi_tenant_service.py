@@ -3,11 +3,12 @@
 
 A production-shaped scenario: a fleet of k collector sites receives a
 multi-tenant event stream (several sources, skewed across sites, arriving
-in per-source micro-batches).  One TrackingService multiplexes four named
-jobs over that single fleet — total event count, a coarse lower-bound
-count, per-tenant heavy hitters, and the stream median — each with its
-own communication/space ledger, all fed through the batched ingestion
-engine in one pass.
+in per-source micro-batches).  One ShardedTrackingService (a single
+inline shard here; pass num_shards= to partition the fleet) multiplexes
+four named jobs over that single fleet — total event count, a coarse
+lower-bound count, per-tenant heavy hitters, and the stream median —
+each with its own communication/space ledger, all fed through the
+batched ingestion engine in one pass.
 
 Usage:  python examples/multi_tenant_service.py
 """
@@ -17,7 +18,7 @@ from repro import (
     RandomizedCountScheme,
     RandomizedFrequencyScheme,
     RandomizedRankScheme,
-    TrackingService,
+    ShardedTrackingService,
 )
 from repro.analysis import render_table
 from repro.workloads import multi_tenant
@@ -29,7 +30,7 @@ BURST = 64
 
 
 def main() -> None:
-    service = TrackingService(num_sites=SITES, seed=11)
+    service = ShardedTrackingService(num_sites=SITES, seed=11)
     service.register("events-total", RandomizedCountScheme(epsilon=0.01))
     service.register("events-floor", DeterministicCountScheme(epsilon=0.05))
     service.register("hot-values", RandomizedFrequencyScheme(epsilon=0.03))

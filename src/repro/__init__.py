@@ -10,8 +10,10 @@ Algorithms for Tracking Distributed Count, Frequencies, and Ranks*
   shared site fleet with batched ingestion (:mod:`repro.service`), with
   optional durability: write-ahead logging, snapshots and
   crash-recovery via ``checkpoint_dir`` (:mod:`repro.persistence`).
-* :class:`ShardedTrackingService` — the same surface over N shard-local
-  hubs with hash-partitioned ingest and a cross-shard query merge plane
+  It is the engine of each shard hub.
+* :class:`ShardedTrackingService` — the public service: the same surface
+  over N shard-local hubs (one inline hub by default) with
+  hash-partitioned ingest and a cross-shard query merge plane
   (:mod:`repro.shard`); scales ingest with cores/machines.
 * Count: :class:`RandomizedCountScheme` (Theorem 2.1),
   :class:`DeterministicCountScheme` (the trivial optimum).

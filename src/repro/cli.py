@@ -30,8 +30,9 @@ import os
 import sys
 import time
 
-from . import Simulation, TrackingService
+from . import ShardedTrackingService, Simulation
 from .analysis import render_table
+from .runtime.batching import batches_from_stream
 from .service import ServiceError
 from .service.jobspec import SCHEMES, parse_job_spec, parse_query_literal
 from .workloads import (
@@ -310,14 +311,16 @@ def run_serve(args) -> int:
             raise _UsageError("--checkpoint-every requires --checkpoint-dir")
     if args.resume and not args.checkpoint_dir:
         raise _UsageError("--resume requires --checkpoint-dir")
+    # One inline shard: the identity partition, transcript-identical to
+    # a single service.
     if args.resume:
         service, problems = _open_service(
-            lambda: TrackingService.restore(args.checkpoint_dir),
+            lambda: ShardedTrackingService.restore(args.checkpoint_dir),
             args.job or [], args.eps, keep_registered=True,
         )
     else:
         service, problems = _open_service(
-            lambda: TrackingService(
+            lambda: ShardedTrackingService(
                 num_sites=args.k,
                 seed=args.seed,
                 checkpoint_dir=args.checkpoint_dir,
@@ -349,11 +352,20 @@ def run_serve(args) -> int:
     if skip:
         stream = itertools.islice(stream, skip, None)
     start = time.perf_counter()
-    total = service.ingest_stream(
-        stream,
-        batch_size=args.batch,
-        checkpoint_every=args.checkpoint_every,
-    )
+    total = 0
+    next_checkpoint = args.checkpoint_every
+    for site_ids, items in batches_from_stream(stream, args.batch):
+        total += service.ingest(site_ids, items)
+        # Every --checkpoint-every events counted from the start of this
+        # run, but only after a full batch: the short one that ends the
+        # stream is covered by the final checkpoint below.
+        if (
+            next_checkpoint is not None
+            and total >= next_checkpoint
+            and len(site_ids) >= args.batch
+        ):
+            service.checkpoint()
+            next_checkpoint = total + args.checkpoint_every
     elapsed = time.perf_counter() - start
     if service.checkpoint_dir is not None:
         service.checkpoint()
@@ -385,7 +397,7 @@ def run_restore(args) -> int:
     if not args.checkpoint_dir:
         raise _UsageError("restore requires --checkpoint-dir")
     service, _ = _open_service(
-        lambda: TrackingService.restore(args.checkpoint_dir),
+        lambda: ShardedTrackingService.restore(args.checkpoint_dir),
         (), args.eps, keep_registered=True,
     )
     _print_service_table(
@@ -601,8 +613,6 @@ def run_gateway(argv) -> int:
             AlertManager.from_manifest(alert_rules).close()
         except ValueError as exc:
             raise _UsageError(f"--alert-rules: {exc}") from None
-    from .shard import ShardedTrackingService
-
     # One shard is the identity partition (transcript-identical to a
     # single service), so every gateway serves the facade.  Hub
     # placement defaults to a worker process per shard for a partition

@@ -1,14 +1,20 @@
 """Multi-tenant tracking service: many named jobs over one shared fleet.
 
-This package turns the single-scheme simulator into a service:
+This package turns the single-scheme simulator into a service engine:
 :class:`TrackingService` owns ``k`` sites and a job registry; callers
 register named tracking jobs (any :class:`~repro.runtime.TrackingScheme`),
 push events through the batched ingestion engine, and read per-job
 communication/space/accuracy snapshots through the query API.
 
+It is the hub engine: every shard hub of the public service,
+:class:`~repro.shard.ShardedTrackingService` (what the gateway,
+``repro serve`` and ``repro restore`` run), is one
+:class:`TrackingService`, as is each per-layer rung of the ladder
+benchmark.
+
 Components:
 
-* :class:`TrackingService` — registry, ingestion and query front-end.
+* :class:`TrackingService` — registry, ingestion and query engine.
 * :class:`TrackingJob` — one registered scheme instance with its own
   coordinator, site handlers and ledgers.
 * :class:`BatchIngestEngine` — view-once, drive-many batched hot

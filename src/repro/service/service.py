@@ -19,11 +19,10 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Optional
 
 from ..obs.tracing import SpanRecorder, current_trace
 from ..runtime import CommStats, TrackingScheme, derive_seed
-from ..runtime.batching import batch_from_stream, batches_from_stream
 from .engine import BatchIngestEngine
 from .errors import DuplicateJobError, UnknownJobError
 from .job import TrackingJob
@@ -338,41 +337,6 @@ class TrackingService:
         self.elements_processed += n
         return n
 
-    def ingest_stream(
-        self,
-        stream: Iterable,
-        batch_size: int = 8192,
-        checkpoint_every: Optional[int] = None,
-    ) -> int:
-        """Drain an iterable of ``(site_id, item)`` pairs in batches.
-
-        Convenience bridge from the workload generators; returns the
-        total number of events ingested.  With durability enabled,
-        ``checkpoint_every`` snapshots the service every time that many
-        events have been drained (measured from the start of this call).
-        """
-        if checkpoint_every is not None:
-            if checkpoint_every < 1:
-                raise ValueError("checkpoint_every must be positive")
-            if self._manager is None:
-                raise RuntimeError(
-                    "checkpoint_every requires a checkpoint_dir"
-                )
-        next_checkpoint = checkpoint_every
-        total = 0
-        for site_ids, items in batches_from_stream(stream, batch_size):
-            total += self.ingest(site_ids, items)
-            # only a full batch checkpoints: the short one that ends
-            # the stream is the caller's to cover
-            if (
-                next_checkpoint is not None
-                and total >= next_checkpoint
-                and len(site_ids) >= batch_size
-            ):
-                self.checkpoint()
-                next_checkpoint = total + checkpoint_every
-        return total
-
     # -- queries -----------------------------------------------------------
 
     def query(self, name: str, method: Optional[str] = None, *args, **kwargs):
@@ -555,7 +519,3 @@ class TrackingService:
             f"TrackingService(sites={self.num_sites}, jobs={len(self._jobs)}, "
             f"elements={self.elements_processed})"
         )
-
-    # Re-exported here so callers driving a service from a generator can
-    # build batches without importing the runtime package.
-    batch_from_stream = staticmethod(batch_from_stream)

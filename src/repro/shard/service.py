@@ -4,9 +4,10 @@ A :class:`ShardedTrackingService` partitions the site fleet across
 ``num_shards`` shard-local hubs (each a full
 :class:`~repro.service.TrackingService`: engine, per-job Network
 ledgers, optional checkpoint bundle) behind the *same*
-register/ingest/query surface as a single service, so every frontend —
-the HTTP gateway, ``repro serve``-style drivers, the benchmarks — runs
-unchanged on top of it.
+register/ingest/query surface as a single service.  It is the one
+public service: the HTTP gateway, ``repro serve`` / ``repro restore``
+and the benchmarks all run on it, with ``num_shards=1`` (one inline hub)
+unless told to partition.
 
 * **Routing**: a :class:`~repro.shard.router.ShardRouter` hash-
   partitions global site ids; one facade ``ingest`` splits the batch
@@ -53,7 +54,7 @@ from ..exec.workers import hub_spec
 from ..obs.fleet import FleetTarget
 from ..obs.metrics import DEFAULT_BUCKETS, SIZE_BUCKETS, Histogram
 from ..obs.tracing import SpanRecorder
-from ..persistence.snapshot import latest_snapshot
+from ..persistence.snapshot import latest_snapshot, list_snapshots
 from ..runtime import TrackingScheme, derive_seed
 from ..runtime.batching import as_column, batches_from_stream
 from ..service.errors import DuplicateJobError, UnknownJobError
@@ -260,10 +261,12 @@ class ShardedTrackingService:
     def _write_manifest(self, checkpoint_dir: str) -> None:
         os.makedirs(checkpoint_dir, exist_ok=True)
         path = os.path.join(checkpoint_dir, _MANIFEST)
-        if os.path.exists(path):
+        # A manifest, or the snapshot a single-service bundle starts
+        # with: either way a fresh layout here would shadow that state.
+        if os.path.exists(path) or list_snapshots(checkpoint_dir):
             raise ValueError(
-                f"checkpoint dir {checkpoint_dir!r} already holds a shard "
-                "manifest; resume it with ShardedTrackingService.restore(...)"
+                f"checkpoint dir {checkpoint_dir!r} already holds state; "
+                "resume it with ShardedTrackingService.restore(...)"
             )
         manifest = {
             "format": _MANIFEST_FORMAT,
@@ -835,11 +838,12 @@ class ShardedTrackingService:
 
         A directory without ``shards.json`` is one
         :class:`~repro.service.TrackingService`'s own bundle (what
-        ``TrackingService(checkpoint_dir=...)`` and ``repro serve``
-        write): it resumes as a one-shard layout whose hub recovers
-        the directory in place, with the manifest fields taken from
-        its newest snapshot's ``config``.  Nothing is rewritten, so the
-        directory stays a single-service bundle.
+        ``TrackingService(checkpoint_dir=...)`` writes, and what
+        ``repro serve`` wrote before it ran this facade): it resumes as
+        a one-shard layout whose hub recovers the directory in place,
+        with the manifest fields taken from its newest snapshot's
+        ``config``.  Nothing is rewritten, so the directory stays a
+        single-service bundle.
         """
         path = os.path.join(checkpoint_dir, _MANIFEST)
         try:

@@ -1,21 +1,19 @@
-"""Streaming summaries used as substrates by the tracking protocols."""
+"""The O(1)-space site summaries the tracking protocols are built on.
 
-from .bernoulli import BernoulliSampler, LevelSampler
-from .gk import GKSummary
+Misra–Gries (deterministic frequency), sticky sampling (randomized
+frequency), the mergeable quantile builder (randomized rank) and the
+exponential histogram (sliding-window count).
+"""
+
+from .exponential_histogram import ExponentialHistogram
 from .mergeable_quantile import QuantileSketchBuilder, QuantileSummary
 from .misra_gries import MisraGries
-from .reservoir import ReservoirSampler
-from .space_saving import SpaceSaving
 from .sticky_sampling import StickySampler
 
 __all__ = [
-    "BernoulliSampler",
-    "LevelSampler",
-    "GKSummary",
+    "ExponentialHistogram",
     "QuantileSketchBuilder",
     "QuantileSummary",
     "MisraGries",
-    "ReservoirSampler",
-    "SpaceSaving",
     "StickySampler",
 ]

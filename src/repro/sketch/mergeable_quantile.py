@@ -151,9 +151,9 @@ class QuantileSketchBuilder(PersistableState):
             for lo in range(0, full, m):
                 self.add_buffer(sorted(partial[lo : lo + m]))
 
-    def add_buffer(self, run: list, level: int = 0) -> None:
-        """Insert one sorted buffer of ``m`` elements, each standing for
-        ``2**level`` arrivals that precede anything in the partial buffer.
+    def add_buffer(self, run: list) -> None:
+        """Insert one sorted buffer of ``m`` arrivals that precede
+        anything in the partial buffer.
 
         This is the one place buffers combine: two of equal weight merge
         into one of twice the weight, keeping the odd- or the even-indexed
@@ -166,8 +166,9 @@ class QuantileSketchBuilder(PersistableState):
         """
         if len(run) != self.m:
             raise ValueError("a buffer holds exactly m elements")
-        self.n += self.m << level
+        self.n += self.m
         buffers = self._buffers
+        level = 0
         while True:
             stack = buffers.get(level)
             if stack is None:
@@ -179,15 +180,6 @@ class QuantileSketchBuilder(PersistableState):
             merged = sorted(stack.pop() + run)
             run = merged[1::2] if self.rng.random() < 0.5 else merged[::2]
             level += 1
-
-    def merge_from(self, other: "QuantileSketchBuilder") -> None:
-        """Absorb another builder with the same ``m`` (mergeability)."""
-        if other.m != self.m:
-            raise ValueError("buffer sizes must match to merge")
-        for level in sorted(other._buffers):
-            for buf in other._buffers[level]:
-                self.add_buffer(list(buf), level)
-        self.extend(other._partial)
 
     # -- snapshot stand-ins ------------------------------------------------
 

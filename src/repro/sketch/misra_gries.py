@@ -61,30 +61,6 @@ class MisraGries(PersistableState):
                 j: c - dec for j, c in self.counters.items() if c > dec
             }
 
-    def merge_from(self, other: "MisraGries") -> None:
-        """Absorb another summary (the mergeable-summaries MG merge).
-
-        Counter maps are summed key-wise; if more than ``capacity``
-        counters survive, the ``(capacity + 1)``-th largest value is
-        subtracted from every counter and non-positive ones dropped —
-        one batched decrement round.  The merged undercount is at most
-        ``(n_self + n_other) / (capacity + 1)``, i.e. merging preserves
-        the summary's error guarantee over the concatenated stream
-        (Agarwal et al., *Mergeable Summaries*).  Capacities must match.
-        """
-        if other.capacity != self.capacity:
-            raise ValueError("capacities must match to merge")
-        merged = dict(self.counters)
-        for item, count in other.counters.items():
-            merged[item] = merged.get(item, 0) + count
-        self.n += other.n
-        self.decrements += other.decrements
-        if len(merged) > self.capacity:
-            cut = sorted(merged.values(), reverse=True)[self.capacity]
-            self.decrements += cut
-            merged = {j: c - cut for j, c in merged.items() if c > cut}
-        self.counters = merged
-
     def estimate(self, item) -> int:
         """Lower bound on the frequency of ``item``.
 

@@ -19,6 +19,12 @@ end ``space_sample_interval`` elements after the last sweep), so one
 digest covers the three ledgers side by side: a driver that moves a
 sweep by one run moves a high-water mark here.
 
+The ``window-count`` digests (:class:`WindowedCountScheme` on a
+non-decreasing timestamp stream, a tracker with no RNG and no rounds)
+were added later, generated at the commit before they were committed,
+to freeze the windowed tracker's transcript before its exponential
+histogram is rewritten.
+
 The rank tracker has its own table in ``test_rank_kernel_golden.py``.
 """
 
@@ -34,6 +40,7 @@ from repro import (
     RandomizedFrequencyScheme,
     Simulation,
     TrackingService,
+    WindowedCountScheme,
 )
 from repro.runtime import TranscriptRecorder
 
@@ -43,12 +50,14 @@ SEED = 23
 N = 2400
 BATCH = 257  # the "whole-batch" run length, and the service's ingest size
 SWEEP = 50  # the service's space_sample_interval (its default never fires)
+WINDOW = 200  # window-count's length; its clock advances ~N over the stream
 
 SCHEMES = {
     "count-rand": lambda: RandomizedCountScheme(0.05),
     "count-det": lambda: DeterministicCountScheme(0.05),
     "freq-int": lambda: RandomizedFrequencyScheme(0.05),
     "freq-str": lambda: RandomizedFrequencyScheme(0.05),
+    "window-count": lambda: WindowedCountScheme(WINDOW, 0.1),
 }
 KS = (1, 3, 16)
 DROPS = (0.0, 0.1)
@@ -159,6 +168,30 @@ GOLDEN = {
     "freq-str-k16-drop1/7": "9754ddce9614288f8b6ceb64973d8067f262fe18ebcd8d3781913cdb78842744",
     "freq-str-k16-drop1/64": "b821e691a9e4dad7ef0c26a8fde5b156492c7db0eb115cbd6828f39710492947",
     "freq-str-k16-drop1/257": "f78419d7d14494d384bcb4324103a7702fccf248175d885b00d5020de7d94d8d",
+    "window-count-k1-drop0/1": "419fb425e19f18672a8327625002783db78e8c6dc9a6e8e849b713b3679c1cae",
+    "window-count-k1-drop0/7": "d618eafe123510d1b3f77e99b18c6b5781276ae42e2490688715b390c5d4aff4",
+    "window-count-k1-drop0/64": "4acea2d65d43f1927d89ccdb237d37885398ffac3ddd3f55315aa8d83a0c0f30",
+    "window-count-k1-drop0/257": "1ad07f5cc4a43a8695ee0e62d627436df9dbb07de8013d3d467186b8a31a91a2",
+    "window-count-k1-drop1/1": "195eeeb892b36594702640437f8ccc9a6daefed35452eb520606b3a8526148dc",
+    "window-count-k1-drop1/7": "7499fe57827efea9e33b47db92d938331abdda879e509d9c4ad0ff0be8b7eacc",
+    "window-count-k1-drop1/64": "c70a4a557e6842b97310869c544e1c9f4a8d27b0cdd41dbef5260dca92020adf",
+    "window-count-k1-drop1/257": "7ce860756c0334ff57236fc89a6b87da48868e6e1a71e7297e974ca9b894a7a0",
+    "window-count-k3-drop0/1": "3937807a5d9a517eb2056485342aa574117bf56f3b8eead5d84ad55af88ab999",
+    "window-count-k3-drop0/7": "0d821605e6a332c03d53d5663ee84939d4abe926fb323dc14d66483494337167",
+    "window-count-k3-drop0/64": "70ae3ac83c7581b4238f091c79385182318d66c34ac0fceee40c9c487506e51d",
+    "window-count-k3-drop0/257": "6f0817406f56fda4d716206b805c1161ed231a9cdcc79e524c18f388bd801845",
+    "window-count-k3-drop1/1": "7c13750673b15cbca7f15c0aea3df6f63e0381de5499825a36244600316fc677",
+    "window-count-k3-drop1/7": "315b02f1c849ebbdc99f3fe0f6d92dc9dfdb71c61b1911a9923ead7f4aef365c",
+    "window-count-k3-drop1/64": "67f64442029eb4f08d330599768f325ac97f64cc9732084cd573497aff9d7d27",
+    "window-count-k3-drop1/257": "d1e86dfdc81e22e60c70dc249a055d2d361e737ce829c3bfae3905f4fbb01b01",
+    "window-count-k16-drop0/1": "281b4ab5b130a45904da8b34437220531a63982bf4a077ff8c8f1afc6a9da506",
+    "window-count-k16-drop0/7": "5c9ef1889a5fb5ab3cb3327774a40cbe4b05b1bc017cb2f8373cc6f8408e9e09",
+    "window-count-k16-drop0/64": "d7887a04a6ecd73c4ce50c884c6b4cc86aac0937dfcc201c666e40dcbd0a81a9",
+    "window-count-k16-drop0/257": "d415cae462318acb25a8d72aee8deb99ef0089585fac739ea99f2abfcdf82447",
+    "window-count-k16-drop1/1": "184dc0f41f374c3add5c30ae5ef0985066eb49ae941a1f891472c6921b85580f",
+    "window-count-k16-drop1/7": "20e948bbeda9be0abd1296efe46cbf7549896e6045c248f6eb2a154e664750ae",
+    "window-count-k16-drop1/64": "fcea0379b29f093cba516ab8f560ae5b023ef35703855f8a3676eb2f21bcc88a",
+    "window-count-k16-drop1/257": "757bb5212a06ccdd78636ef8d279e7ebe90e1ad3005e766f3feac63d2af3e9e4",
 }
 
 SPACE_GOLDEN = {
@@ -258,20 +291,51 @@ SPACE_GOLDEN = {
     "freq-str-k16-drop1/7": "2aee96860346e5835988e45dd356474eb6b25e513688ee674779e7027b6d3f1a",
     "freq-str-k16-drop1/64": "4b0596e618a1b93fb26d2a38097c9409f1cbdd52882a3821ee70aac3881ed19d",
     "freq-str-k16-drop1/257": "4ba543195cc6febfee970dc3d8c718ea58f6169697d68104da37b8509513df8a",
+    "window-count-k1-drop0/1": "c834effe089d6b5b38607e9c1054d67d225f43debf46be3afb7f8a2e715ac672",
+    "window-count-k1-drop0/7": "34b5aa214d48bfea52760c7d74d4970aa19da9db7c07b51fe61a23d08406b1e7",
+    "window-count-k1-drop0/64": "e99d895db103daa42a7ee6c6478da8582ad3140d7d818d545c20433f1cb9b081",
+    "window-count-k1-drop0/257": "d390d85f6819c614ed76c0e743779dcb70eae800e7abd045c5e0ca51936849f1",
+    "window-count-k1-drop1/1": "2c1a3cfad24307cf2c14f017e059937f4f6bd0b65fe36c696c3f423788307695",
+    "window-count-k1-drop1/7": "08431c16141b9827bc16bb8216cb807c9acd42cd93230f3fa79e7cfb8395542c",
+    "window-count-k1-drop1/64": "e06387f589c1c7deeaf7beac616c2086153ab357386ffc59d71e4ff68e6c036a",
+    "window-count-k1-drop1/257": "5a832ecce07dfac5b47b9516939ec082f2704a652060bcc0c8a20cc4713d2050",
+    "window-count-k3-drop0/1": "21b99cf901929910f35538fd5bcb6248a1ff42cc8cba05d56dde5515e8d057fc",
+    "window-count-k3-drop0/7": "db2d86d4b46a6158c6c11675ed062ea97add49ef415165b52f74f0d91fd24e73",
+    "window-count-k3-drop0/64": "2ce58c00fd4514c9980023d90adea5d7b0df13374fab9776c37e46e80ff2e166",
+    "window-count-k3-drop0/257": "76f0b16a39ebdd53c3138c40e2b3de8b5b2736fca68f34453d9d19b8dd5666da",
+    "window-count-k3-drop1/1": "0748aa55005f21ed98c0562040adb3d3bcb53d1c30c189fe7a7151da2ba283b1",
+    "window-count-k3-drop1/7": "f1f62a5def9fe67bee5b536b2d43a96ef9d9da32b0295c41779e8fbf23bdc63c",
+    "window-count-k3-drop1/64": "15b401998ab081625a4c4457fab9098b2aac48bc988ff945c388edf81c6a7302",
+    "window-count-k3-drop1/257": "c9de8d88945af883353d7c36178c7b01e2c33a06351d86ae7d2cb7fa3ec71a72",
+    "window-count-k16-drop0/1": "b61eef96f712c1fb33b944d4e3cf2b60ab5acc1cd913e613251319503237cbdb",
+    "window-count-k16-drop0/7": "ab9eee908fdc6f02df67c27ea31adcf1d98b19900ae559850b5306ad75241b79",
+    "window-count-k16-drop0/64": "b3b044e829508cfdd66860618124978e1d5cb9560705413f25e69edabbe39c73",
+    "window-count-k16-drop0/257": "d8bb1b7573ddf2129f5103da53d79699933cc7b58d55bbfe0f8a8aca81509c33",
+    "window-count-k16-drop1/1": "9ef6707e7b65fdd1ab7dc2442aa1a951962c8bb48f4abafc1bc43376f6387b44",
+    "window-count-k16-drop1/7": "eaddb9c1c64a7f7a4c534e3ccded477143993f08471f54274cef000c6b062e83",
+    "window-count-k16-drop1/64": "9906c661da17948f4698c99377ae270f63514fe894cd9737a2aacff62d15f7ad",
+    "window-count-k16-drop1/257": "5f98d4393858fb5d5b3b7aca36c1bedfbdbc16b4d7d8db9273bf9c5e8070962f",
 }
 
 
 def make_stream(case_id, run_length):
     """Seeded (site_ids, items): runs of ``run_length`` events per site;
     Zipf-ish items so sticky counters are hit often, a skewed site choice
-    so one site outgrows ``n_bar / k`` and splits into virtual sites."""
+    so one site outgrows ``n_bar / k`` and splits into virtual sites.
+    For ``window-count`` the items are a non-decreasing clock (steps of
+    0, 1 or 2, ties included), so the window turns over many times."""
     name, k, _ = CASES[case_id]
     rng = random.Random(f"{case_id}/{run_length}")
     site_ids, items = [], []
+    clock = 0
     while len(site_ids) < N:
         site = min(rng.randrange(k), rng.randrange(k))
         for _ in range(min(run_length, N - len(site_ids))):
             site_ids.append(site)
+            if name == "window-count":
+                clock += rng.randrange(3)
+                items.append(clock)
+                continue
             value = int(rng.paretovariate(1.1)) % 97
             items.append(f"item-{value}" if name == "freq-str" else value)
     return site_ids, items
@@ -367,7 +431,9 @@ def test_cases_cover_rounds_drops_and_virtual_site_splits(case_id):
     sim, recorder = traced_simulation(case_id)
     sim.run_batched(*make_stream(case_id, 7))
     kinds = [entry[2] for entry in recorder.entries]
-    if name != "count-det":
+    if name == "window-count":  # the window forgot most of the stream
+        assert sim.coordinator.estimate() < N / 2
+    elif name != "count-det":
         assert kinds.count("round") >= 3
     if name.startswith("freq") and k > 1:  # one site never outgrows n_bar
         assert "split" in kinds

@@ -1,8 +1,10 @@
 """Unit tests for the service CLI: job specs, serve/restore smoke runs."""
 
+import os
+
 import pytest
 
-from repro import WindowedCountScheme
+from repro import TrackingService, WindowedCountScheme
 from repro.cli import build_parser, main, parse_job_spec
 
 
@@ -171,6 +173,20 @@ class TestDurableCli:
             l for l in straight_out.splitlines() if l.strip().startswith("t ")
         )
         assert resumed_row == straight_row
+
+    def test_serve_refuses_a_dir_that_holds_state(self, tmp_path, capsys):
+        # Without --resume, neither the facade's own layout nor a
+        # single-service bundle is overwritten or shadowed by a new one.
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["serve", "-n", "1000", "--checkpoint-dir", ckpt]) == 0
+        capsys.readouterr()
+        assert main(["serve", "-n", "1000", "--checkpoint-dir", ckpt]) == 2
+        assert "already holds state" in capsys.readouterr().err
+        old = str(tmp_path / "old")
+        TrackingService(num_sites=4, checkpoint_dir=old).close()
+        assert main(["serve", "-n", "1000", "--checkpoint-dir", old]) == 2
+        assert "already holds state" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(old, "shards.json"))
 
     def test_restore_missing_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["restore", "--checkpoint-dir", str(tmp_path / "nope")]) == 2

@@ -141,30 +141,109 @@ class TestUnbiasedness:
             QuantileSketchBuilder.for_error(100, 0.0, derive_rng(0, "mq9"))
 
 
-class TestMerge:
-    def test_merge_from_preserves_weight(self):
-        a = QuantileSketchBuilder(8, derive_rng(0, "mqa"))
-        b = QuantileSketchBuilder(8, derive_rng(1, "mqb"))
-        for v in range(100):
-            a.add(v)
-        for v in range(100, 250):
-            b.add(v)
-        a.merge_from(b)
-        assert a.finalize().total_weight == 250
-
-    def test_merge_requires_same_m(self):
-        a = QuantileSketchBuilder(8, derive_rng(0, "mqc"))
-        b = QuantileSketchBuilder(16, derive_rng(1, "mqd"))
+class TestBuilderEdges:
+    def test_empty_builder_ranks_zero(self):
+        b = QuantileSketchBuilder(8, derive_rng(0, "mq10"))
+        assert b.rank(5) == 0.0
+        s = b.finalize()
+        assert s.rank(5) == 0.0
+        assert s.total_weight == 0.0
         with pytest.raises(ValueError):
-            a.merge_from(b)
+            s.quantile(0.5)
 
-    def test_merged_rank_reasonable(self):
-        a = QuantileSketchBuilder(16, derive_rng(0, "mqe"))
-        b = QuantileSketchBuilder(16, derive_rng(1, "mqf"))
-        for v in range(0, 1000, 2):
-            a.add(v)
-        for v in range(1, 1000, 2):
+    def test_single_element(self):
+        b = QuantileSketchBuilder(8, derive_rng(0, "mq11"))
+        b.add(42)
+        s = b.finalize()
+        assert s.quantile(0.0) == s.quantile(0.5) == s.quantile(1.0) == 42
+        assert s.rank(42) == 0.0
+        assert s.rank(43) == 1.0
+
+    def test_extreme_ranks_are_exact(self):
+        # Weights always sum to n and every kept value is a stream value,
+        # so rank below the minimum is 0 and above the maximum is n.
+        n = 3000
+        b = QuantileSketchBuilder(16, derive_rng(0, "mq12"))
+        values = list(range(n))
+        random.Random(5).shuffle(values)
+        b.extend(values)
+        s = b.finalize()
+        assert s.rank(0) == 0.0
+        assert s.rank(n) == float(n)
+        assert s.quantile(0.0) >= 0 and s.quantile(1.0) <= n - 1
+
+    def test_add_buffer_rejects_wrong_length(self):
+        b = QuantileSketchBuilder(4, derive_rng(0, "mq13"))
+        with pytest.raises(ValueError):
+            b.add_buffer([1, 2, 3])
+        with pytest.raises(ValueError):
+            b.add_buffer([1, 2, 3, 4, 5])
+        assert b.n == 0
+
+    def test_holding_rejects_values_that_fill_a_buffer(self):
+        b = QuantileSketchBuilder(4, derive_rng(0, "mq14"))
+        b.extend([7, 8])
+        with pytest.raises(ValueError):
+            b.holding([1, 2])
+        assert b.holding([1]).n == 3
+        assert b.n == 2
+
+    def test_release_returns_partial_and_rolls_back_n(self):
+        b = QuantileSketchBuilder(4, derive_rng(0, "mq15"))
+        b.extend([9, 3, 5, 1, 8, 2])
+        assert b.release() == [8, 2]
+        assert b.n == 4
+        assert b.release() == []
+        assert b.finalize().total_weight == 4.0
+
+
+class TestAccuracy:
+    """Rank and quantile error of a :meth:`QuantileSketchBuilder.for_error`
+    builder, on fixed seeds, against the exact answer."""
+
+    N, TARGET = 4000, 40.0
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "random"])
+    def test_rank_error_within_four_std_errors(self, order):
+        values = list(range(self.N))
+        if order == "reversed":
+            values.reverse()
+        elif order == "random":
+            random.Random(7).shuffle(values)
+        b = QuantileSketchBuilder.for_error(
+            self.N, self.TARGET, derive_rng(0, "acc-" + order)
+        )
+        for v in values:
             b.add(v)
-        a.merge_from(b)
-        est = a.finalize().rank(500)
-        assert abs(est - 500) < 150
+        s = b.finalize()
+        # Values are 0..N-1, so the true rank of q is q.
+        for q in range(0, self.N, 50):
+            assert abs(s.rank(q) - q) <= 4 * self.TARGET
+
+    def test_quantile_error_within_four_std_errors(self):
+        values = list(range(self.N))
+        random.Random(3).shuffle(values)
+        b = QuantileSketchBuilder.for_error(
+            self.N, self.TARGET, derive_rng(3, "acc-q")
+        )
+        b.extend(values)
+        s = b.finalize()
+        for phi in [0.1, 0.25, 0.5, 0.75, 0.9]:
+            assert abs(s.quantile(phi) - phi * self.N) <= 4 * self.TARGET
+
+    def test_duplicates_handled(self):
+        b = QuantileSketchBuilder(8, derive_rng(0, "dup"))
+        b.extend([5] * 100 + [10] * 100)
+        s = b.finalize()
+        assert s.rank(5) == 0.0
+        assert s.rank(11) == 200.0
+        # std error about n / (2.8 m) ~ 9
+        assert s.rank(7) == pytest.approx(100, abs=40)
+
+    def test_space_sublinear(self):
+        n = 20_000
+        b = QuantileSketchBuilder.for_error(n, 200.0, derive_rng(0, "acc-s"))
+        for v in range(n):
+            b.add(v)
+        assert b.space_words() < n / 10
+        assert len(b.finalize()) < n / 10

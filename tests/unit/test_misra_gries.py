@@ -101,3 +101,49 @@ class TestDecrementBatching:
         # Every decrement round removes capacity+1 stream units at once;
         # total decremented mass is at most n / (capacity + 1) per item slot.
         assert mg.decrements <= mg.n / (mg.capacity + 1) + 1
+
+
+class TestAccounting:
+    def test_empty_summary(self):
+        mg = MisraGries(3)
+        assert mg.estimate("a") == 0
+        assert mg.error_bound() == 0.0
+        assert mg.heavy_hitters(1) == {}
+        assert mg.space_words() == 2
+
+    def test_mass_conservation(self):
+        # Each decrement round removes one unit from each of the
+        # `capacity` counters and from the arriving item.
+        mg = MisraGries(4)
+        for i in range(1000):
+            mg.add(i % 11, 1 + i % 3)
+        assert sum(mg.counters.values()) + (mg.capacity + 1) * mg.decrements == mg.n
+
+    def test_undercount_at_most_decrements(self):
+        mg = MisraGries(3)
+        truth = {}
+        for i in range(600):
+            item = i % 7 if i % 4 else 0
+            mg.add(item)
+            truth[item] = truth.get(item, 0) + 1
+        for item, count in truth.items():
+            assert 0 <= count - mg.estimate(item) <= mg.decrements
+
+    def test_full_summary_evicts_minimum_counters(self):
+        mg = MisraGries(3)
+        for item, count in [("a", 5), ("b", 1), ("c", 2)]:
+            mg.add(item, count)
+        mg.add("d")  # one decrement round: b drops out, d is absorbed
+        assert mg.counters == {"a": 4, "c": 1}
+        assert mg.decrements == 1
+        mg.add("d")  # now there is room
+        assert mg.counters == {"a": 4, "c": 1, "d": 1}
+
+    def test_heavy_hitters_filters_by_upper_bound(self):
+        mg = MisraGries(10)
+        mg.add("big", 60)
+        mg.add("mid", 30)
+        mg.add("small", 10)
+        assert mg.error_bound() == 100 / 11
+        assert set(mg.heavy_hitters(35)) == {"big", "mid"}
+        assert set(mg.heavy_hitters(50)) == {"big"}

@@ -16,11 +16,8 @@ from repro.persistence.codec import (
 )
 from repro.runtime.rng import derive_rng
 from repro.sketch.exponential_histogram import ExponentialHistogram
-from repro.sketch.gk import GKSummary
 from repro.sketch.mergeable_quantile import QuantileSketchBuilder
 from repro.sketch.misra_gries import MisraGries
-from repro.sketch.reservoir import ReservoirSampler
-from repro.sketch.space_saving import SpaceSaving
 from repro.sketch.sticky_sampling import StickySampler
 
 
@@ -98,17 +95,15 @@ class TestSharedReferences:
 
 SKETCHES = [
     ("misra-gries", lambda: MisraGries(5), lambda s: [s.add(x) for x in "abcabca"]),
-    ("space-saving", lambda: SpaceSaving(4), lambda s: [s.add(x) for x in "abcdeab"]),
-    ("gk", lambda: GKSummary(0.1), lambda s: [s.add(i % 17) for i in range(200)]),
+    (
+        "misra-gries-decremented",
+        lambda: MisraGries(2),
+        lambda s: [s.add(i % 5, 1 + i % 3) for i in range(40)],
+    ),
     (
         "eh",
         lambda: ExponentialHistogram(50, 0.25),
         lambda s: [s.add(t) for t in range(0, 120, 3)],
-    ),
-    (
-        "reservoir",
-        lambda: ReservoirSampler(8, random.Random(2)),
-        lambda s: [s.add(i) for i in range(100)],
     ),
     (
         "sticky",
@@ -139,21 +134,58 @@ class TestSketchHooks:
         # every counter, buffer and RNG word survived the round trip.
         assert twin.state_dict() == sketch.state_dict()
 
-    def test_gk_restored_answers_identical_queries(self):
-        gk = GKSummary(0.05)
+    def test_quantile_builder_restored_answers_identical_queries(self):
+        builder = QuantileSketchBuilder(16, random.Random(6))
         for i in range(500):
-            gk.add((i * 7919) % 1000)
-        twin = GKSummary(0.05)
-        twin.load_state_dict(gk.state_dict())
-        assert twin.values == gk.values
-        assert twin.g == gk.g
-        assert twin.delta == gk.delta
-        assert twin.n == gk.n
+            builder.add((i * 7919) % 1000)
+        twin = QuantileSketchBuilder(16, random.Random(0))
+        twin.load_state_dict(builder.state_dict())
+        assert twin.n == builder.n
+        assert twin.finalize().values == builder.finalize().values
+        assert [twin.rank(x) for x in range(0, 1001, 50)] == [
+            builder.rank(x) for x in range(0, 1001, 50)
+        ]
+        # the random-halving stream continues where it left off
+        assert twin.rng.random() == builder.rng.random()
+
+    def test_misra_gries_restored_answers_identical_queries(self):
+        mg = MisraGries(3)
+        for i in range(300):
+            mg.add(i % 7 if i % 3 else 0)
+        twin = MisraGries(3)
+        twin.load_state_dict(json.loads(json.dumps(mg.state_dict())))
+        assert twin.counters == mg.counters
+        assert (twin.n, twin.decrements) == (mg.n, mg.decrements)
+        assert twin.heavy_hitters(50) == mg.heavy_hitters(50)
+        for i in range(50):
+            mg.add(i % 4)
+            twin.add(i % 4)
+        assert twin.counters == mg.counters
+
+    def test_sticky_restored_continues_the_same_coin_stream(self):
+        s = StickySampler(0.3, random.Random(8))
+        for i in range(200):
+            s.add(i % 23)
+        twin = StickySampler(0.3, random.Random(0))
+        twin.load_state_dict(json.loads(json.dumps(s.state_dict())))
+        for i in range(200):
+            assert twin.add(i % 41) == s.add(i % 41)
+        assert twin.counters == s.counters
+
+    def test_eh_restored_estimates_identical(self):
+        eh = ExponentialHistogram(60, 0.2)
+        for t in range(0, 300, 2):
+            eh.add(t)
+        twin = ExponentialHistogram(60, 0.2)
+        twin.load_state_dict(json.loads(json.dumps(eh.state_dict())))
+        for now in (298, 320, 350, 400):
+            assert twin.estimate(now) == eh.estimate(now)
 
     def test_load_rejects_wrong_type(self):
         mg = MisraGries(4)
         with pytest.raises(StateCodecError):
-            load_object_state(SpaceSaving(4), mg.state_dict())
+            load_object_state(StickySampler(0.5, random.Random(0)),
+                              mg.state_dict())
 
     def test_refuses_non_repro_types_on_decode(self):
         blob = {"__obj__": "os.path:join", "id": 0, "state": {}}

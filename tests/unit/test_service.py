@@ -231,24 +231,6 @@ class TestEngine:
         n = engine.ingest(service.jobs.values(), [0, 1, 2, 2], None)
         assert n == 4
 
-    def test_ingest_stream_chunks_match_single_batch(self):
-        k = 5
-        stream = list(uniform_sites(3000, k, seed=4))
-        a = make_service(k=k)
-        a.register("x", RandomizedCountScheme(0.1), seed=3)
-        a.ingest_stream(iter(stream), batch_size=257)
-        b = make_service(k=k)
-        b.register("x", RandomizedCountScheme(0.1), seed=3)
-        sids, items = batch_from_stream(stream)
-        b.ingest(sids, items)
-        assert a["x"].comm.snapshot() == b["x"].comm.snapshot()
-        assert a["x"].query() == b["x"].query()
-
-    def test_ingest_stream_rejects_bad_batch_size(self):
-        service = make_service()
-        with pytest.raises(ValueError):
-            service.ingest_stream(iter([]), batch_size=0)
-
 
 class TestMultiTenantWorkload:
     def test_length_and_site_range(self):

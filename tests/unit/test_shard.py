@@ -5,11 +5,25 @@ import pytest
 from repro import (
     DeterministicCountScheme,
     DeterministicFrequencyScheme,
+    RandomizedCountScheme,
     ShardedTrackingService,
 )
+from repro.runtime import batch_from_stream
 from repro.service.errors import DuplicateJobError, UnknownJobError
 from repro.shard import ShardRouter
 from repro.shard.merge import UnmergeableQueryError
+from repro.workloads import uniform_sites
+
+#: (num_sites, num_shards, scheme factory, batch_size, stream) inputs a
+#: chunked ``ingest_stream`` must drive exactly like one ``ingest``
+INGEST_STREAM_INPUTS = [
+    (8, 4, lambda: DeterministicCountScheme(0.05), 64,
+     [(i % 8, 1) for i in range(1_000)]),
+    (5, 1, lambda: RandomizedCountScheme(0.1), 257,
+     list(uniform_sites(3000, 5, seed=4))),
+    (5, 2, lambda: RandomizedCountScheme(0.1), 257,
+     list(uniform_sites(3000, 5, seed=4))),
+]
 
 
 class TestShardRouter:
@@ -202,11 +216,28 @@ class TestShardedServiceSurface:
         service.close()
 
     def test_ingest_stream_batches(self):
+        for sites, shards, scheme, batch_size, stream in INGEST_STREAM_INPUTS:
+            chunked, whole = (
+                ShardedTrackingService(sites, shards, seed=2)
+                for _ in range(2)
+            )
+            for service in (chunked, whole):
+                service.register("x", scheme(), seed=3)
+            total = chunked.ingest_stream(iter(stream), batch_size=batch_size)
+            whole.ingest(*batch_from_stream(stream))
+            assert total == len(stream) == chunked.elements_processed
+            assert (
+                chunked.status()["jobs"]["x"]["comm"]
+                == whole.status()["jobs"]["x"]["comm"]
+            )
+            assert chunked.query("x") == whole.query("x")
+            chunked.close()
+            whole.close()
+
+    def test_ingest_stream_rejects_bad_batch_size(self):
         service = self.make()
-        total = service.ingest_stream(
-            ((i % 8, 1) for i in range(1_000)), batch_size=64
-        )
-        assert total == 1_000 and service.elements_processed == 1_000
+        with pytest.raises(ValueError):
+            service.ingest_stream(iter([]), batch_size=0)
         service.close()
 
     def test_space_budgets_and_overages(self):

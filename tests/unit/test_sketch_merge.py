@@ -1,33 +1,12 @@
-"""Merge primitives behind the cross-shard query plane.
+"""The count merge of the cross-shard query plane.
 
-Counts sum (:func:`repro.shard.merge.merge_counts`), frequency
-summaries merge (``MisraGries.merge_from`` / ``SpaceSaving.merge_from``)
-and quantile summaries merge (``QuantileSketchBuilder.merge_from``) —
-each with its error guarantee over the *concatenated* stream, plus the
-empty- and single-input edge cases shards produce in practice.
+Counts sum (:func:`repro.shard.merge.merge_counts`), including the
+empty- and single-input edge cases shards produce in practice.  The
+frequency and quantile merges combine per-shard candidate answers and
+rank functions, not summaries; ``test_merge_golden.py`` freezes them.
 """
 
-import random
-
-import pytest
-
 from repro.shard.merge import merge_counts
-from repro.sketch.mergeable_quantile import QuantileSketchBuilder
-from repro.sketch.misra_gries import MisraGries
-from repro.sketch.space_saving import SpaceSaving
-
-
-def zipfish_stream(n, universe, seed):
-    rng = random.Random(seed)
-    return [min(universe, int(universe / (rng.random() * universe + 1)) + 1)
-            for _ in range(n)]
-
-
-def exact_counts(stream):
-    counts = {}
-    for v in stream:
-        counts[v] = counts.get(v, 0) + 1
-    return counts
 
 
 class TestMergeCounts:
@@ -39,162 +18,3 @@ class TestMergeCounts:
 
     def test_single_value_passes_through(self):
         assert merge_counts([41.0]) == 41.0
-
-
-class TestMisraGriesMerge:
-    CAP = 16
-
-    def test_merged_error_bound_holds(self):
-        a_stream = zipfish_stream(5_000, 200, seed=1)
-        b_stream = zipfish_stream(7_000, 200, seed=2)
-        a, b = MisraGries(self.CAP), MisraGries(self.CAP)
-        for v in a_stream:
-            a.add(v)
-        for v in b_stream:
-            b.add(v)
-        a.merge_from(b)
-        n = len(a_stream) + len(b_stream)
-        assert a.n == n
-        bound = n / (self.CAP + 1)
-        assert a.error_bound() <= bound
-        truth = exact_counts(a_stream + b_stream)
-        for item, true_count in truth.items():
-            est = a.estimate(item)
-            assert est <= true_count  # never overcounts
-            assert true_count - est <= bound, item
-        assert len(a.counters) <= self.CAP
-
-    def test_merge_from_empty_is_identity(self):
-        a, b = MisraGries(4), MisraGries(4)
-        for v in [1, 1, 2, 3]:
-            a.add(v)
-        before = dict(a.counters)
-        a.merge_from(b)
-        assert a.counters == before and a.n == 4
-
-    def test_merge_into_empty_copies(self):
-        a, b = MisraGries(4), MisraGries(4)
-        for v in [5, 5, 6]:
-            b.add(v)
-        a.merge_from(b)
-        assert a.counters == {5: 2, 6: 1} and a.n == 3
-
-    def test_capacity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MisraGries(4).merge_from(MisraGries(8))
-
-    def test_merge_order_independent_estimates(self):
-        streams = [zipfish_stream(2_000, 50, seed=s) for s in range(3)]
-        left = MisraGries(8)
-        for stream in streams:
-            part = MisraGries(8)
-            for v in stream:
-                part.add(v)
-            left.merge_from(part)
-        flat = MisraGries(8)
-        for stream in streams:
-            for v in stream:
-                flat.add(v)
-        n = sum(len(s) for s in streams)
-        truth = exact_counts([v for s in streams for v in s])
-        for item in truth:
-            # both are valid summaries of the same stream: estimates
-            # differ but each respects the same undercount bound
-            for sketch in (left, flat):
-                assert truth[item] - sketch.estimate(item) <= n / 9
-
-
-class TestSpaceSavingMerge:
-    CAP = 16
-
-    def test_merged_bounds_hold(self):
-        a_stream = zipfish_stream(5_000, 200, seed=3)
-        b_stream = zipfish_stream(6_000, 200, seed=4)
-        a, b = SpaceSaving(self.CAP), SpaceSaving(self.CAP)
-        for v in a_stream:
-            a.add(v)
-        for v in b_stream:
-            b.add(v)
-        a.merge_from(b)
-        n = len(a_stream) + len(b_stream)
-        assert a.n == n
-        truth = exact_counts(a_stream + b_stream)
-        for item in a.counts:
-            true_count = truth.get(item, 0)
-            assert a.estimate(item) >= true_count  # never undercounts
-            assert a.guaranteed_count(item) <= true_count
-            assert a.estimate(item) - true_count <= a.error_bound()
-        assert len(a.counts) <= self.CAP
-
-    def test_merge_from_empty_is_identity(self):
-        a, b = SpaceSaving(4), SpaceSaving(4)
-        for v in [1, 1, 2]:
-            a.add(v)
-        before = dict(a.counts)
-        a.merge_from(b)
-        assert a.counts == before and a.n == 3
-
-    def test_merge_into_empty_copies(self):
-        a, b = SpaceSaving(4), SpaceSaving(4)
-        for v in [7, 7, 8]:
-            b.add(v)
-        a.merge_from(b)
-        assert a.counts == {7: 2, 8: 1} and a.errors == {7: 0, 8: 0}
-
-    def test_capacity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SpaceSaving(4).merge_from(SpaceSaving(5))
-
-    def test_heavy_hitter_survives_merge(self):
-        a, b = SpaceSaving(8), SpaceSaving(8)
-        for sketch, seed in ((a, 5), (b, 6)):
-            rng = random.Random(seed)
-            for _ in range(2_000):
-                sketch.add(99 if rng.random() < 0.4 else rng.randrange(500))
-        a.merge_from(b)
-        assert 99 in a.heavy_hitters(0.3 * a.n)
-
-
-class TestQuantileBuilderMerge:
-    def test_merged_rank_accuracy(self):
-        rng_a, rng_b = random.Random(7), random.Random(8)
-        values = list(range(20_000))
-        random.Random(9).shuffle(values)
-        a = QuantileSketchBuilder(64, rng_a)
-        b = QuantileSketchBuilder(64, rng_b)
-        half = len(values) // 2
-        for v in values[:half]:
-            a.add(v)
-        for v in values[half:]:
-            b.add(v)
-        a.merge_from(b)
-        assert a.n == len(values)
-        summary = a.finalize()
-        assert summary.total_weight == pytest.approx(len(values))
-        # std error ~ n/(2.8 m); allow a generous multiple
-        for x in (1_000, 10_000, 19_000):
-            assert abs(summary.rank(x) - x) <= 6 * len(values) / 64
-
-    def test_merge_empty_builder_is_identity(self):
-        rng = random.Random(1)
-        a = QuantileSketchBuilder(16, rng)
-        for v in range(40):
-            a.add(v)
-        before = a.rank(20)
-        a.merge_from(QuantileSketchBuilder(16, random.Random(2)))
-        assert a.n == 40 and a.rank(20) == before
-
-    def test_merge_into_empty_is_lossless_for_short_streams(self):
-        a = QuantileSketchBuilder(16, random.Random(3))
-        b = QuantileSketchBuilder(16, random.Random(4))
-        for v in [3, 1, 2]:
-            b.add(v)
-        a.merge_from(b)
-        summary = a.finalize()
-        assert summary.rank(2) == 1.0 and summary.rank(99) == 3.0
-
-    def test_mismatched_buffer_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            QuantileSketchBuilder(8, random.Random(0)).merge_from(
-                QuantileSketchBuilder(16, random.Random(0))
-            )

@@ -74,3 +74,30 @@ class TestSamplingBehaviour:
         s.add("a")
         s.add("b")
         assert s.space_words() == 2 * 2 + 2
+
+    def test_untracked_arrival_reports_zero(self):
+        s = StickySampler(1e-12, derive_rng(0, "ss8"))
+        for _ in range(20):
+            assert s.add("x") == (False, 0)
+        assert s.count("x") == 0
+        assert s.n == 20
+        assert s.counters == {}
+
+    def test_counts_restart_after_clear(self):
+        s = StickySampler(1.0, derive_rng(0, "ss9"))
+        for item in "aaab":
+            s.add(item)
+        s.clear()
+        assert s.add("a") == (True, 1)
+        assert s.count("a") == 1 and s.count("b") == 0
+        assert s.n == 1
+
+    def test_same_seed_same_counters(self):
+        stream = [i % 37 for i in range(2000)]
+        runs = []
+        for _ in range(2):
+            s = StickySampler(0.1, derive_rng(11, "ss10"))
+            for item in stream:
+                s.add(item)
+            runs.append(dict(s.counters))
+        assert runs[0] == runs[1]

@@ -85,6 +85,36 @@ class TestExponentialHistogram:
         # At t=139 the window (89, 139] holds exactly the 40 burst events.
         assert abs(eh.estimate(139) - 40) <= 8
 
+    def test_rejects_eps_at_least_one(self):
+        with pytest.raises(ValueError):
+            ExponentialHistogram(10, 1.0)
+
+    def test_equal_timestamps_all_count(self):
+        eh = ExponentialHistogram(10, 0.5)
+        for _ in range(7):
+            eh.add(3)
+        assert sum(size for _, size in eh.buckets) == 7
+        assert eh.estimate(3) >= 7 * (1 - 0.5)
+        assert eh.estimate(13) == 0.0
+
+    def test_snapshot_is_a_frozen_copy(self):
+        eh = ExponentialHistogram(100, 0.2)
+        for t in range(30):
+            eh.add(t)
+        snap = eh.snapshot()
+        before = ExponentialHistogram.estimate_from_snapshot(snap, 29, 100)
+        for t in range(30, 60):
+            eh.add(t)
+        assert ExponentialHistogram.estimate_from_snapshot(snap, 29, 100) == before
+        assert sum(s for _, s in snap) == 30
+
+    def test_space_words_tracks_buckets(self):
+        eh = ExponentialHistogram(1000, 0.25)
+        assert eh.space_words() == 3
+        for t in range(100):
+            eh.add(t)
+        assert eh.space_words() == 2 * len(eh.buckets) + 3
+
 
 class TestWindowedCountScheme:
     def test_rejects_bad_params(self):
