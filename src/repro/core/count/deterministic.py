@@ -99,9 +99,6 @@ class DeterministicCountScheme(TrackingScheme):
 
     name = "count/deterministic"
     one_way_capable = True
-    # Strictly one-way: sites never receive responses, so relaxed mode
-    # may stream their reports without per-message acks.
-    sync_uplinks = False
 
     def __init__(self, epsilon: float):
         if not 0.0 < epsilon < 1.0:

@@ -179,12 +179,6 @@ class RandomizedCountScheme(TrackingScheme):
 
     name = "count/randomized"
     one_way_capable = False
-    # Keeps the default sync_uplinks = True: the round machinery is
-    # drift-sensitive — with ack-free streaming and whole-batch
-    # per-site coalescing a site can report at a stale (higher) p for
-    # its entire merged run, and measured drift then brushes the eps*n
-    # bound the relaxed contract promises.  Acked uplinks keep the
-    # baseline relaxed drift distribution.
 
     def __init__(self, epsilon: float, adjust_on_halving: bool = True):
         if not 0.0 < epsilon < 1.0:

@@ -9,12 +9,10 @@
   Keeping it here (rather than one copy per plane) is what makes "a job
   driven by the engine is transcript-identical to a standalone
   simulation" a structural fact instead of a test assertion.
-* :func:`coalesce_runs` — merge runs into *super-runs* before posting.
-  In order-preserving mode only consecutive same-site runs merge (an
-  identity on one batch's decomposition, useful when concatenating
-  sub-batches).  In per-site (relaxed) mode the run sequence is cut
-  into consecutive windows of at most ``window`` runs and, inside each
-  window, **all** of a site's runs merge into one super-run — per-site
+* :func:`coalesce_runs` — merge runs into *super-runs* before posting
+  (relaxed dispatch).  The run sequence is cut into consecutive
+  windows of at most ``window`` runs and, inside each window, **all**
+  of a site's runs merge into one super-run — per-site
   concatenation order is exactly per-site arrival order, which is the
   only order relaxed mode promises.  A fine-grained interleaving
   (round-robin: one element per run) collapses from one frame per
@@ -154,65 +152,41 @@ def drive_batch(host, batch, space_sample_interval: int) -> int:
     return calls
 
 
-def _columnar(chunk: list):
-    """A merged chunk in its carrier (:func:`~repro.runtime.batching.
-    as_column`) when it is long enough to profit: the frame codec packs
-    a typed array via ``tobytes`` instead of a per-element struct walk.
-    Short chunks ship as the plain list they already are."""
-    if len(chunk) < _COLUMNAR_MIN:
-        return chunk
-    return as_column(chunk)
-
-
 def _merged(chunks: List[list]) -> list:
+    """One site's chunks concatenated, in their carrier
+    (:func:`~repro.runtime.batching.as_column`) when long enough to
+    profit: the frame codec packs a typed array via ``tobytes`` instead
+    of a per-element struct walk.  Short chunks ship as plain lists."""
     if len(chunks) == 1:
         out = chunks[0]
     else:
         out = []
         for chunk in chunks:
             out.extend(chunk)
-    return _columnar(out)
+    return out if len(out) < _COLUMNAR_MIN else as_column(out)
 
 
 def coalesce_runs(
     runs: Iterable[Tuple[int, list]],
     *,
     window: Optional[int] = None,
-    per_site: bool = False,
 ) -> List[Tuple[int, list, int]]:
-    """Merge runs into super-runs; returns ``(site_id, chunk, weight)``.
+    """Merge runs into per-site super-runs; returns ``(site_id, chunk,
+    weight)``.
 
     ``weight`` is the number of original runs a super-run carries — the
     unit :class:`CreditWindow` accounts in-flight credit in.
 
-    With ``per_site=False`` only *consecutive* same-site runs merge, so
-    the global interleaving is preserved exactly (safe even for
-    lockstep).  With ``per_site=True`` — the relaxed mode — the run
-    sequence is cut into consecutive groups of at most ``window``
-    original runs (one group for the whole batch when ``window`` is
-    None) and within each group **all** of a site's runs merge into one
-    super-run, emitted in order of the site's first appearance.  Each
-    site's elements are concatenated in arrival order, so per-site
-    streams — the only order relaxed mode promises — are untouched;
-    applying one merged ``on_elements`` is exactly equivalent to
-    applying the original runs back to back.
+    The run sequence is cut into consecutive groups of at most
+    ``window`` original runs (one group for the whole batch when
+    ``window`` is None) and within each group **all** of a site's runs
+    merge into one super-run, emitted in order of the site's first
+    appearance.  Each site's elements are concatenated in arrival
+    order, so per-site streams — the only order relaxed mode promises —
+    are untouched; applying one merged ``on_elements`` is exactly
+    equivalent to applying the original runs back to back.
     """
-    if not per_site:
-        out: List[Tuple[int, list, int]] = []
-        last_site = None
-        for site_id, chunk in runs:
-            if site_id == last_site:
-                prev_site, prev_chunk, prev_weight = out[-1]
-                if prev_weight == 1:
-                    prev_chunk = list(prev_chunk)  # don't mutate caller's chunk
-                prev_chunk.extend(chunk)
-                out[-1] = (prev_site, prev_chunk, prev_weight + 1)
-            else:
-                out.append((site_id, chunk, 1))
-                last_site = site_id
-        return [(s, _columnar(c) if w > 1 else c, w) for s, c, w in out]
-
-    out = []
+    out: List[Tuple[int, list, int]] = []
     group_order: List[int] = []  # sites in first-appearance order
     group_chunks = {}  # site_id -> list of chunks
     group_weights = {}  # site_id -> run count

@@ -40,7 +40,11 @@ with the same seed.
 
 **The relaxed fast path.**  Relaxed mode (negotiated at spawn) drops
 the per-frame synchronization that lockstep's byte-identity needs but
-per-site exactness does not:
+per-site exactness does not.  It runs one-way schemes only
+(``scheme.one_way_capable``): their coordinator never answers, so a
+site's next decision never waits on a broadcast, and every site's
+reports fold into the same coordinator state in any interleaving.
+The hub refuses a two-way scheme before it opens a connection.
 
 * *Coalesced super-runs* — before posting, the batch's runs are merged
   per site within the in-flight window
@@ -52,10 +56,8 @@ per-site exactness does not:
   and the hub sends none.  Acks are pure transport sync tokens (they
   never touch the ``Network`` ledger), so message counts are
   untouched; per-site FIFO still delivers each site's reports in
-  exact local order, and the hub still runs every cascade atomically
-  on its protocol thread.  Sites poll their inbox at uplink boundaries
-  so coordinator responses keep applying between reports.
-* *Fire-and-forget posting* — hub run/deliver posts and site
+  exact local order, and the hub applies them on its protocol thread.
+* *Fire-and-forget posting* — hub run posts and site
   uplink/completion replies are encoded on the sending thread and
   handed to the event loop as one ``call_soon_threadsafe`` write: no
   coroutine, no completion future, no cross-thread wait per frame.
@@ -158,32 +160,24 @@ class SiteWorker:
     ``restore``   merge a snapshot into the spawned site
     ``run``       process one chunk of local elements
     ``deliver``   apply coordinator messages, reply ``deliver_done``
+                  (lockstep only: relaxed schemes never answer)
     ``snapshot``  reply with the site's encoded state
     ``ping``      liveness probe
     ``stop``      acknowledge and exit
 
-    The optional fast-path callables mirror the blocking pair:
-    ``post`` sends a frame fire-and-forget (per-connection FIFO with
-    ``send``), ``recv_nowait`` returns a pending command or raises
-    :class:`queue.Empty`.  They only matter once a ``spawn`` negotiates
+    The optional ``post`` sends a frame fire-and-forget (per-connection
+    FIFO with ``send``).  It only matters once a ``spawn`` negotiates
     relaxed mode — the spawn frame's ``relaxed`` flag — where uplinks
-    stream without awaiting acks and hot-path replies skip the
-    cross-thread completion wait.  Without them the worker behaves
-    exactly as before, whatever the hub negotiates.
+    stream without awaiting acks and run completions skip the
+    cross-thread completion wait.
     """
 
-    def __init__(self, send, recv, post=None, recv_nowait=None):
+    def __init__(self, send, recv, post=None):
         self._send = send
         self._recv = recv
         self._post = post if post is not None else send
-        self._recv_nowait = recv_nowait
         self.site = None
         self._relaxed = False
-        # Commands that arrived while this site was blocked inside a
-        # protocol send (the hub pipelines runs in relaxed mode); they
-        # execute after the current command completes, preserving the
-        # site's local stream order.
-        self._deferred: deque = deque()
 
     # -- the uplink RPC (called from inside protocol handlers) -------------
 
@@ -194,18 +188,13 @@ class SiteWorker:
         While waiting, interleaved ``deliver`` frames are serviced: the
         coordinator's re-entrant responses (downlinks, our copy of a
         broadcast) apply *inside* this send, exactly as the synchronous
-        network would, and may recurse into further uplinks.  A ``run``
-        frame arriving here is the hub's *relaxed* dispatcher posting
-        ahead; it is deferred until the current command finishes, so the
-        local element order never changes.
+        network would, and may recurse into further uplinks.
 
         In negotiated relaxed mode the hub sends no acks: the report
         streams out fire-and-forget (TCP FIFO keeps this site's reports
-        in exact local order) after draining any pending coordinator
-        responses, so delivers keep applying at uplink boundaries.
+        in exact local order).
         """
         if self._relaxed:
-            self._drain_pending()
             self._post({"t": "uplink", "msg": encode_message(message)})
             return
         self._send({"t": "uplink", "msg": encode_message(message)})
@@ -216,56 +205,23 @@ class SiteWorker:
             kind = reply.get("t")
             if kind == "deliver":
                 self._deliver(reply)
-            elif kind == "run":
-                self._deferred.append(reply)
             elif kind == "ack":
                 return
             else:
                 raise ProtocolError(f"unexpected {kind!r} while awaiting ack")
 
-    def _drain_pending(self) -> None:
-        """Service every already-arrived command without blocking.
-
-        Delivers apply immediately (they may recurse into further
-        uplinks); pipelined runs are deferred behind the current one.
-        Only used on the streaming path; without a ``recv_nowait``
-        callable this is a no-op and delivers apply between commands.
-        """
-        recv_nowait = self._recv_nowait
-        if recv_nowait is None:
-            return
-        while True:
-            try:
-                command = recv_nowait()
-            except queue.Empty:
-                return
-            if command is None:
-                raise ConnectionError("hub vanished mid-run")
-            kind = command.get("t")
-            if kind == "deliver":
-                self._deliver(command)
-            elif kind == "run":
-                self._deferred.append(command)
-            else:
-                raise ProtocolError(
-                    f"unexpected {kind!r} while streaming uplinks"
-                )
-
     def _deliver(self, command) -> None:
         for encoded in command["msgs"]:
             self.site.on_message(decode_message(encoded))
-        # deliver_done is a pure sync token for the hub's cascade walk;
-        # on the streaming path it rides fire-and-forget.
-        (self._post if self._relaxed else self._send)({"t": "deliver_done"})
+        # deliver_done is a pure sync token for the hub's cascade walk
+        self._send({"t": "deliver_done"})
 
     # -- command loop ------------------------------------------------------
 
     def run(self) -> None:
         """Serve commands until ``stop`` or connection EOF."""
         while True:
-            command = (
-                self._deferred.popleft() if self._deferred else self._recv()
-            )
+            command = self._recv()
             if command is None:
                 return
             kind = command.get("t")
@@ -398,12 +354,7 @@ class SiteHost:
         post = _make_poster(conn, asyncio.get_running_loop())
 
         def session(send, inbox) -> None:
-            SiteWorker(
-                send=send,
-                recv=inbox.get,
-                post=post,
-                recv_nowait=inbox.get_nowait,
-            ).run()
+            SiteWorker(send=send, recv=inbox.get, post=post).run()
 
         await serve_on_thread(
             conn, session, "repro-site-worker", DEFAULT_RPC_TIMEOUT
@@ -453,6 +404,10 @@ class CoordinatorHub(ProtocolStack):
     The protocol core is synchronous and runs on an executor thread
     behind the async public methods; asyncio pump tasks feed one
     thread-safe inbox per site connection.
+
+    ``relaxed=True`` requires a one-way scheme (``one_way_capable``);
+    a two-way scheme is refused with :class:`ValueError` before any
+    connection exists (``docs/relaxed-mode.md``).
     """
 
     def __init__(
@@ -467,6 +422,12 @@ class CoordinatorHub(ProtocolStack):
         window: Optional[int] = None,
         per_site_depth: Optional[int] = None,
     ):
+        if relaxed and not scheme.one_way_capable:
+            raise ValueError(
+                f"relaxed dispatch runs one-way schemes only; "
+                f"{scheme.name!r} is two-way (its coordinator answers "
+                "sites), so run it in lockstep or on the sharded facade"
+            )
         self.recorder: Optional[TranscriptRecorder] = (
             TranscriptRecorder() if record_transcript else None
         )
@@ -491,13 +452,6 @@ class CoordinatorHub(ProtocolStack):
             window=window,
             per_site_depth=per_site_depth,
         )
-        # Streamed (ack-free) uplinks are only negotiated when the
-        # scheme declares its sites tolerant of deferred responses; a
-        # sync-uplink scheme keeps the blocking ack RPC even in relaxed
-        # mode (see TrackingScheme.sync_uplinks).
-        self._stream_uplinks = self.relaxed and not getattr(
-            scheme, "sync_uplinks", True
-        )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._conns: List = [None] * num_sites
         # One shared inbox of (site_id, frame): per-site FIFO is
@@ -507,18 +461,14 @@ class CoordinatorHub(ProtocolStack):
         self._pumps: List = [None] * num_sites
         self._dead = set()
         self._collected_n = 0
-        # Uplinks that arrived while another cascade was running
-        # (cascades stay atomic; deferred uplinks run next, in order).
+        # Uplinks that arrived while the hub was engaged with another
+        # site (a close or snapshot after a failed relaxed batch); they
+        # run next, in arrival order.
         self._pending_uplinks: deque = deque()
         # Each relaxed batch gets an epoch, echoed by run_done frames:
         # after a failed batch (cleared ledger, runs still in flight) a
         # stale completion must not be booked against the next batch.
         self._run_epoch = 0
-        # deliver_done frames are pure sync tokens (one per delivered
-        # message, per-site).  Nested same-site cascades can consume
-        # them out of pairing order; a token that surfaces while another
-        # site is engaged is banked here for its waiter.
-        self._done_credits = [0] * num_sites
         # Fire-and-forget senders (one per connection, built at
         # connect time).
         self._posters: List = [None] * num_sites
@@ -573,9 +523,9 @@ class CoordinatorHub(ProtocolStack):
                     "k": self.num_sites,
                     "seed": self.seed,
                     "one_way": self.one_way,
-                    # negotiate the dispatch mode: streaming sites send
+                    # negotiate the dispatch mode: relaxed sites send
                     # uplinks without awaiting acks (see SiteWorker)
-                    "relaxed": self._stream_uplinks,
+                    "relaxed": self.relaxed,
                 },
             )
             self._expect_sync(site_id, "ok")
@@ -629,9 +579,7 @@ class CoordinatorHub(ProtocolStack):
         In lockstep only the engaged site may speak (anything else is a
         protocol violation — except a connection EOF, which just marks
         the sender dead).  In relaxed mode, frames from *other* sites
-        are part of the overlap and are serviced in arrival order:
-        uplinks run their cascade inline, ``run_done`` completes an
-        outstanding posted run.
+        are leftovers of the overlap (see :meth:`_service_out_of_band`).
         """
         deadline = time.monotonic() + DEFAULT_RPC_TIMEOUT
         while True:
@@ -667,12 +615,11 @@ class CoordinatorHub(ProtocolStack):
                              engaged: int) -> None:
         """A frame from a site we are not currently waiting on.
 
-        Relaxed mode: ``run_done`` completes a posted run immediately;
-        an ``uplink`` is *deferred* — the coordinator is mid-cascade
-        (that is why we are blocked on another site), and processing a
-        second report inside it would interleave two cascades' delivery
-        waits.  Deferred uplinks run, in arrival order, as soon as the
-        current cascade unwinds (see :meth:`_collect_outstanding`).
+        Relaxed mode only, where the frames of a failed batch can still
+        be in flight while a close or snapshot engages one site at a
+        time: ``run_done`` completes a posted run immediately (a stale
+        epoch drops it); an ``uplink`` is deferred and runs, in arrival
+        order, at the next collection (see :meth:`_collect_outstanding`).
         """
         kind = message.get("t")
         if self.relaxed:
@@ -681,9 +628,6 @@ class CoordinatorHub(ProtocolStack):
                 return
             if kind == "run_done":
                 self._note_run_done(sender, message)
-                return
-            if kind == "deliver_done":
-                self._done_credits[sender] += 1
                 return
         raise ProtocolError(
             f"site {sender}: unexpected {kind!r} frame while engaging "
@@ -700,38 +644,32 @@ class CoordinatorHub(ProtocolStack):
         return message
 
     def _deliver_sync(self, site_id: int, message) -> None:
-        """One coordinator->site message, delivered at cascade position.
+        """One coordinator->site message, delivered at cascade position
+        (lockstep only).
 
         Invoked (via :class:`SiteProxy`) from inside the ``Network``'s
         synchronous delivery — possibly nested under an uplink that is
         itself nested under a deliver.  Uplinks the remote handler emits
         while applying are processed inline, recursing into the
         coordinator exactly like the simulator's re-entrant network.
+        A coordinator that answers under relaxed dispatch broke its
+        scheme's ``one_way_capable`` declaration.
         """
-        frame = {"t": "deliver", "msgs": [encode_message(message)]}
-        if self._stream_uplinks:
-            # The wait below provides the synchronization; the send
-            # itself need not block a second time on the event loop.
-            self._post_fast(site_id, frame)
-        else:
-            self._send_sync(site_id, frame)
+        if self.relaxed:
+            raise ProtocolError(
+                f"{self.scheme.name!r} coordinator answered site {site_id} "
+                "under relaxed dispatch, which runs one-way schemes only"
+            )
+        self._send_sync(
+            site_id, {"t": "deliver", "msgs": [encode_message(message)]}
+        )
         while True:
-            if self._done_credits[site_id] > 0:
-                # A nested wait already consumed this site's frame and
-                # banked the token; per-site tokens are fungible.
-                self._done_credits[site_id] -= 1
-                return
             reply = self._recv_sync(site_id)
             kind = reply.get("t")
             if kind == "uplink":
                 self._uplink_sync(site_id, reply)
             elif kind == "deliver_done":
                 return
-            elif kind == "run_done" and self.relaxed:
-                # The site was mid-run when the deliver was posted; its
-                # completion frame precedes the deliver_done (per-site
-                # FIFO).  Account it and keep waiting.
-                self._note_run_done(site_id, reply)
             else:
                 raise ProtocolError(
                     f"site {site_id}: unexpected {kind!r} during deliver"
@@ -750,7 +688,7 @@ class CoordinatorHub(ProtocolStack):
         self.network.send_to_coordinator(
             site_id, decode_message(frame["msg"])
         )
-        if self._stream_uplinks:
+        if self.relaxed:
             return  # streaming sites do not wait; no ack at all
         self._send_sync(site_id, {"t": "ack"})
 
@@ -788,14 +726,7 @@ class CoordinatorHub(ProtocolStack):
         }
         if weight != 1:
             frame["w"] = weight
-        if self._stream_uplinks:
-            self._post_fast(site_id, frame)
-        else:
-            # Sync-uplink schemes keep the blocking post: the relaxed
-            # accuracy envelope of a response-dependent protocol is
-            # sensitive to dispatch pacing, so their path stays exactly
-            # the pre-streaming one.
-            self._send_sync(site_id, frame)
+        self._post_fast(site_id, frame)
         self.ledger.post(site_id, weight)
 
     def _note_run_done(self, site_id: int, message: dict) -> None:
@@ -818,8 +749,8 @@ class CoordinatorHub(ProtocolStack):
     def _service_one(self) -> None:
         """Service exactly one pending protocol event (relaxed mode).
 
-        A deferred uplink runs first (its cascade was postponed to keep
-        an earlier one atomic); otherwise the next inbound frame is
+        A deferred uplink runs first (it arrived while another site was
+        engaged); otherwise the next inbound frame is
         taken from the shared inbox.  This is both the collect loop's
         body and what the ledger's admit loop calls while waiting for
         in-flight credit — the one place relaxed dispatch picks what to
@@ -861,14 +792,12 @@ class CoordinatorHub(ProtocolStack):
             )
 
     def _collect_outstanding(self) -> int:
-        """Relaxed mode: wait out every posted run, servicing the
-        protocol messages the overlap produces in arrival order.
+        """Relaxed mode: wait out every posted run, applying the
+        uplinks the overlap produces in arrival order.
 
-        Each uplink's cascade runs atomically; uplinks that arrived
-        while one was in progress were deferred and run first here, in
-        arrival order.  The loop also drains deferred uplinks that
-        arrive *after* the last run completed (a site may report, then
-        finish its run; FIFO puts the report first)."""
+        Uplinks deferred while a snapshot or close engaged one site
+        (see :meth:`_service_out_of_band`) run first, in arrival order,
+        even when the batch posted no run."""
         while len(self.ledger) > 0 or self._pending_uplinks:
             self._service_one()
         return self._collected_n
@@ -881,16 +810,7 @@ class CoordinatorHub(ProtocolStack):
             # Coalesce per site within each window of original runs:
             # one frame and one vectorized apply per site per window,
             # with per-site order — the relaxed contract — untouched.
-            # Sync-uplink schemes depend on timely coordinator
-            # responses, and merging a site's whole batch would push
-            # every response to the end of one giant apply; they keep
-            # their original chunking (consecutive merges only), which
-            # the ack RPC already paces.
-            super_runs = coalesce_runs(
-                runs,
-                window=self.ledger.window,
-                per_site=self._stream_uplinks,
-            )
+            super_runs = coalesce_runs(runs, window=self.ledger.window)
             try:
                 for site_id, chunk, weight in super_runs:
                     self._post_run(site_id, chunk, weight)
@@ -900,7 +820,6 @@ class CoordinatorHub(ProtocolStack):
                 # must not poison the next dispatch.
                 self.ledger.clear()
                 self._pending_uplinks.clear()
-                self._done_credits = [0] * self.num_sites
                 raise
         else:
             # One run at a time, in global arrival order, each fully
@@ -993,15 +912,6 @@ class CoordinatorHub(ProtocolStack):
         :meth:`~repro.exec.dispatch.CreditWindow.stats`)."""
         return self.ledger.stats()
 
-    def summary(self) -> dict:
-        """Flat cost metrics, shaped like ``Simulation.summary``."""
-        out = self.comm.snapshot()
-        out["max_site_space_words"] = self.space.max_site_words
-        out["mean_site_space_words"] = self.space.mean_site_words
-        out["coordinator_space_words"] = self.space.coordinator_max_words
-        out["elements"] = self.elements_processed
-        return out
-
     # -- failure injection and shutdown -----------------------------------
 
     async def kill_site(self, site_id: int) -> None:
@@ -1010,10 +920,6 @@ class CoordinatorHub(ProtocolStack):
         conn = self._conns[site_id]
         if conn is not None:
             await conn.close()
-
-    @property
-    def dead_sites(self) -> set:
-        return set(self._dead)
 
     async def close(self) -> None:
         if self._loop is not None:

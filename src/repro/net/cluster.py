@@ -4,7 +4,7 @@ A :class:`Cluster` is the distributed counterpart of
 :class:`~repro.runtime.Simulation`: it stands up a coordinator hub and
 ``k`` site actors (self-hosted on a loopback or TCP transport, or placed
 on already-running ``repro site`` hosts), and exposes the familiar
-synchronous surface — ``ingest``/``run``/``query``/``summary`` — by
+synchronous surface — ``ingest``/``run``/``query`` — by
 pumping an asyncio event loop on a background thread.
 
 Durability mirrors the tracking service exactly, built on the PR-2
@@ -67,18 +67,17 @@ class Cluster:
         lifetime; pass False for long-running or unbounded streams
         (checkpoints, ledgers and queries do not need it).
     relaxed:
-        Pipelined dispatch: post every run of a batch before collecting
-        any ack, so runs targeting disjoint sites overlap between
-        protocol messages.
+        Pipelined dispatch for one-way schemes (``one_way_capable``:
+        deterministic count, windowed count, the one-way threshold
+        trackers); any other scheme is a :class:`ValueError`, raised
+        before a thread or socket starts.  Each site's runs are
+        coalesced into columnar super-runs and posted up front, sites
+        stream their reports without per-message acks, and the
+        coordinator applies them in arrival order.  Per-site streams
+        stay exact, so answers and message counts equal lockstep's.
         The default — lockstep — pays one round trip per run and is
-        byte-identical to :class:`~repro.runtime.Simulation`; relaxed
-        mode trades that transcript determinism for latency, keeping
-        per-site streams exact while the coordinator observes uplinks
-        in arrival order (see ``docs/relaxed-mode.md``).  Relaxed mode
-        also coalesces each site's runs into columnar super-runs and,
-        for schemes that declare stream-tolerant sites
-        (``sync_uplinks = False``), streams uplinks without per-message
-        acks.
+        byte-identical to :class:`~repro.runtime.Simulation` for every
+        scheme (see ``docs/relaxed-mode.md``).
     window / per_site_depth:
         Relaxed-mode in-flight bounds (``docs/relaxed-mode.md`` →
         "Windowing"): at most ``window`` original runs in flight in
@@ -111,19 +110,21 @@ class Cluster:
         self._wal = None
         self._wal_seq = -1
         self._replaying = False
+        # built first: it refuses a bad configuration before the loop
+        # thread starts
+        self.hub = CoordinatorHub(
+            scheme,
+            num_sites,
+            seed=seed,
+            one_way=one_way,
+            uplink_drop_rate=uplink_drop_rate,
+            record_transcript=record_transcript,
+            relaxed=relaxed,
+            window=window,
+            per_site_depth=per_site_depth,
+        )
         self._loop = LoopThread("repro-cluster-loop")
         try:
-            self.hub = CoordinatorHub(
-                scheme,
-                num_sites,
-                seed=seed,
-                one_way=one_way,
-                uplink_drop_rate=uplink_drop_rate,
-                record_transcript=record_transcript,
-                relaxed=relaxed,
-                window=window,
-                per_site_depth=per_site_depth,
-            )
             self._loop.call(self._start(site_addresses, _restore_state))
             if checkpoint_dir is not None:
                 manager = CheckpointManager(checkpoint_dir, sync=wal_sync)
@@ -212,19 +213,11 @@ class Cluster:
     def elements_processed(self) -> int:
         return self.hub.elements_processed
 
-    @property
-    def recorder(self):
-        return self.hub.recorder
-
     def transcript_bytes(self) -> bytes:
         """The canonical transcript (see :class:`TranscriptRecorder`)."""
         if self.hub.recorder is None:
             raise RuntimeError("cluster was started with record_transcript=False")
         return self.hub.recorder.to_bytes()
-
-    def summary(self) -> dict:
-        """Flat dict of cost metrics, shaped like ``Simulation.summary``."""
-        return self.hub.summary()
 
     @property
     def dispatch_mode(self) -> str:
@@ -247,10 +240,6 @@ class Cluster:
         state = self._loop.call(self.hub.snapshot_state())
         state["wal_seq"] = self._wal_seq
         return self._manager.save_state(state)
-
-    @property
-    def checkpoint_dir(self) -> Optional[str]:
-        return None if self._manager is None else self._manager.directory
 
     def _attach_checkpoints(self, manager: CheckpointManager) -> None:
         self._manager = manager
@@ -284,10 +273,6 @@ class Cluster:
         """Abruptly kill one site actor; later runs to it raise
         :class:`SiteUnavailableError` until the cluster is restored."""
         self._loop.call(self.hub.kill_site(site_id))
-
-    @property
-    def dead_sites(self) -> set:
-        return self.hub.dead_sites
 
     # -- shutdown ----------------------------------------------------------
 
@@ -338,7 +323,8 @@ def restore_cluster(
     if state.get("format") != "repro-cluster":
         raise ValueError(
             f"{checkpoint_dir!r} holds a tracking-service checkpoint; "
-            "restore it with TrackingService.restore(...)"
+            "restore it with ShardedTrackingService.restore(...) or "
+            "`repro restore`"
         )
     config = state["config"]
     cluster = Cluster(

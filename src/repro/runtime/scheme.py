@@ -38,16 +38,7 @@ class TrackingScheme(PersistableState, ABC):
     def make_site(self, network: Network, site_id: int, k: int, seed: int) -> Site:
         """Create the state machine for site ``site_id``."""
 
-    #: set False for schemes that need downlink traffic (two-way protocols)
+    #: set False for schemes that need downlink traffic (two-way
+    #: protocols); relaxed dispatch on the site-actor plane
+    #: (``Cluster(relaxed=True)``) runs only schemes that set True
     one_way_capable: bool = False
-
-    #: True when a site may *depend* on its uplink's coordinator
-    #: response applying inside the send (the synchronous model's
-    #: re-entrant delivery — e.g. the rank site requires the round
-    #: geometry broadcast its first report triggers).  Schemes whose
-    #: sites merely *tolerate* responses landing at a later bounded
-    #: position (the relaxed drift contract, e.g. count tracking with a
-    #: stale report probability) set False, which lets relaxed mode
-    #: stream uplinks without per-message acks.  Has no effect on
-    #: lockstep dispatch.
-    sync_uplinks: bool = True

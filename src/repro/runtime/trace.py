@@ -55,10 +55,6 @@ class TranscriptRecorder:
         network.set_tracer(self)
         return self
 
-    def record(self, direction, site_id, message: Message) -> None:
-        """Explicitly append one entry (for non-Network runtimes)."""
-        self.entries.append(transcript_entry(direction, site_id, message))
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -504,11 +504,6 @@ class TrackingService:
             self._wal.rollback_last()
             self._wal_seq -= 1
 
-    @property
-    def checkpoint_dir(self) -> Optional[str]:
-        """The attached checkpoint directory, or None."""
-        return None if self._manager is None else self._manager.directory
-
     def close(self) -> None:
         """Release the WAL file handle (no-op without durability)."""
         if self._manager is not None:

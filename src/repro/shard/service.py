@@ -266,7 +266,8 @@ class ShardedTrackingService:
         if os.path.exists(path) or list_snapshots(checkpoint_dir):
             raise ValueError(
                 f"checkpoint dir {checkpoint_dir!r} already holds state; "
-                "resume it with ShardedTrackingService.restore(...)"
+                "resume it with ShardedTrackingService.restore(...), or "
+                "pass --resume to `repro serve` / `repro gateway`"
             )
         manifest = {
             "format": _MANIFEST_FORMAT,

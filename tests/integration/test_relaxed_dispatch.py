@@ -6,32 +6,53 @@ The contract (docs/relaxed-mode.md):
   byte-identical to the in-process simulator (the seed transcripts).
 * Relaxed mode never changes a *site's* local stream: per-connection
   FIFO preserves per-site event order exactly.
-* Order-insensitive protocols (deterministic count: sites report local
-  threshold crossings, the coordinator sums) therefore answer
-  *identically* under relaxed dispatch.
-* Order-sensitive protocols (randomized count's coordinator rounds)
-  may drift, but stay within the scheme's ``eps * n`` error bound.
+* On the site-actor plane relaxed dispatch runs one-way schemes only
+  (``one_way_capable``): sites report, the coordinator never answers
+  and folds each site's reports on its own, so every such scheme
+  answers *identically* to the simulator at every batch boundary.
+  A two-way scheme is refused before any thread starts.
 * The sharded facade's relaxed mode reorders nothing at all (each hub
   still sees its slice in order), so sharded answers are identical.
 """
 
-import statistics
+import threading
 
 import pytest
 
 from repro import (
     DeterministicCountScheme,
+    MedianBoostedScheme,
     RandomizedCountScheme,
     RandomizedRankScheme,
     ShardedTrackingService,
+    WindowedCountScheme,
 )
+from repro.lowerbounds import OneWayThresholdScheme
 from repro.net import Cluster
 from repro.runtime import Simulation, batch_from_stream
+from repro.service.job import resolve_query
+from repro.service.jobspec import SCHEMES
 from repro.workloads import bursty_sites
 
 K = 8
 N = 12_000
 SEED = 17
+
+#: one instance of every scheme the service offers, plus windowed
+#: count, the one-way threshold trackers and a median-boosted scheme
+EVERY_SCHEME = [
+    factory(0.05)
+    for factory in dict.fromkeys(
+        factory for table in SCHEMES.values() for factory in table.values()
+    )
+] + [
+    WindowedCountScheme(2000, 0.05),
+    OneWayThresholdScheme(0.05),
+    OneWayThresholdScheme(0.05, jitter=True),
+    MedianBoostedScheme(RandomizedCountScheme(0.05), 3),
+]
+ONE_WAY = [s for s in EVERY_SCHEME if s.one_way_capable]
+TWO_WAY = [s for s in EVERY_SCHEME if not s.one_way_capable]
 
 
 @pytest.fixture(scope="module")
@@ -56,50 +77,36 @@ class TestLockstepStaysExact:
 
 
 class TestRelaxedCluster:
-    def test_order_insensitive_scheme_is_exact(self, stream):
-        site_ids, items = stream
-        sim = Simulation(DeterministicCountScheme(0.02), K, seed=SEED)
-        sim.run_batched(site_ids, items)
-        with Cluster(
-            DeterministicCountScheme(0.02), K, seed=SEED, relaxed=True,
-            record_transcript=False,
-        ) as cluster:
-            cluster.ingest(site_ids, items)
-            assert cluster.query() == sim.coordinator.estimate()
-            assert cluster.comm.total_messages == sim.comm.total_messages
-            assert cluster.elements_processed == N
-
-    def test_randomized_count_within_error_bound(self, stream):
-        site_ids, items = stream
-        eps = 0.05
-        with Cluster(
-            RandomizedCountScheme(eps), K, seed=SEED, relaxed=True,
-            record_transcript=False,
-        ) as cluster:
-            cluster.ingest(site_ids, items)
-            estimate = cluster.query()
-        assert abs(estimate - N) <= eps * N
-
-    def test_rank_scheme_within_error_bound(self, stream):
+    @pytest.mark.parametrize(
+        "scheme", ONE_WAY, ids=[s.name for s in ONE_WAY]
+    )
+    def test_order_insensitive_scheme_is_exact(self, stream, scheme):
         site_ids, _ = stream
-        eps = 0.05
-        values = list(range(N))
-        errors = []
-        for seed in range(SEED, SEED + 5):
-            with Cluster(
-                RandomizedRankScheme(eps), K, seed=seed, relaxed=True,
-                record_transcript=False,
-            ) as cluster:
-                cluster.ingest(site_ids, values)
-                rank = cluster.query("estimate_rank", N // 2)
-            errors.append(abs(rank - N // 2))
-        # The scheme's eps*n guarantee is with-constant-probability, not
-        # worst-case, and under relaxed dispatch each run is one draw
-        # from (seed x thread schedule): a single run outside the 2x
-        # envelope is expected now and then.  The median of independent
-        # runs is the paper's own boosting argument — it leaves the
-        # envelope only if most of them do.
-        assert statistics.median(errors) <= 2 * eps * N
+        # arrival positions: the non-decreasing timestamps windowed
+        # count needs, and plain items for every other scheme
+        items = list(range(N))
+        sim = Simulation(scheme, K, seed=SEED)
+        with Cluster(
+            scheme, K, seed=SEED, relaxed=True, record_transcript=False,
+        ) as cluster:
+            for start in range(0, N, 3000):
+                batch = (site_ids[start:start + 3000],
+                         items[start:start + 3000])
+                sim.run_batched(*batch)
+                cluster.ingest(*batch)
+                answer = resolve_query(sim.coordinator, None)()
+                assert cluster.query() == answer
+                assert cluster.comm.snapshot() == sim.comm.snapshot()
+                assert cluster.elements_processed == sim.elements_processed
+
+    @pytest.mark.parametrize(
+        "scheme", TWO_WAY, ids=[s.name for s in TWO_WAY]
+    )
+    def test_two_way_scheme_is_refused(self, scheme):
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="one-way schemes only"):
+            Cluster(scheme, K, seed=SEED, relaxed=True)
+        assert threading.active_count() == threads
 
     def test_relaxed_over_tcp_matches_loopback_for_deterministic(
         self, stream

@@ -174,18 +174,27 @@ class TestDurableCli:
         )
         assert resumed_row == straight_row
 
-    def test_serve_refuses_a_dir_that_holds_state(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [
+        ["serve", "-n", "1000"],
+        ["gateway", "--listen", "127.0.0.1:0"],
+    ], ids=["serve", "gateway"])
+    def test_serve_refuses_a_dir_that_holds_state(
+        self, tmp_path, capsys, command
+    ):
         # Without --resume, neither the facade's own layout nor a
-        # single-service bundle is overwritten or shadowed by a new one.
+        # single-service bundle is overwritten or shadowed by a new one,
+        # and the refusal names the flag that continues it.
         ckpt = str(tmp_path / "ckpt")
         assert main(["serve", "-n", "1000", "--checkpoint-dir", ckpt]) == 0
         capsys.readouterr()
-        assert main(["serve", "-n", "1000", "--checkpoint-dir", ckpt]) == 2
-        assert "already holds state" in capsys.readouterr().err
+        assert main(command + ["--checkpoint-dir", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert "already holds state" in err and "--resume" in err
         old = str(tmp_path / "old")
         TrackingService(num_sites=4, checkpoint_dir=old).close()
-        assert main(["serve", "-n", "1000", "--checkpoint-dir", old]) == 2
-        assert "already holds state" in capsys.readouterr().err
+        assert main(command + ["--checkpoint-dir", old]) == 2
+        err = capsys.readouterr().err
+        assert "already holds state" in err and "--resume" in err
         assert not os.path.exists(os.path.join(old, "shards.json"))
 
     def test_restore_missing_dir_fails_cleanly(self, tmp_path, capsys):
