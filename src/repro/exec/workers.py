@@ -10,6 +10,12 @@ process, a subprocess, a ``repro hub`` actor).  One kind exists:
     ledgers, optional WAL+snapshot bundle.  This is the shard hub the
     sharded service places N of.
 
+A hub reports on itself through one command, ``hub_stats``
+(:func:`hub_stats`): the facade's ``status()`` and ``metrics_sample()``
+and the gateway's fleet monitor all read that one report, so it is
+defined once, here.  What a hub does not know — the dispatch mode its
+facade posts under — the facade states itself.
+
 Specs are plain dicts — ``{"kind": ..., "config": {...}}`` — so they
 cross process boundaries by pickle and TCP boundaries through the
 snapshot codec unchanged.
@@ -66,9 +72,8 @@ def restore_spec(spec: dict) -> dict:
     """The spec that rebuilds a worker from its durable source.
 
     Hub workers with a ``checkpoint_dir`` (or already built via
-    ``restore_from``) recover from their bundle, keeping the dispatch
-    mode their facade stamped; one without has no durable source and
-    raises :class:`ExecError`.
+    ``restore_from``) recover from their bundle; one without has no
+    durable source and raises :class:`ExecError`.
     """
     config = _hub_config(spec)
     source = config.get("restore_from") or config.get("checkpoint_dir")
@@ -77,11 +82,7 @@ def restore_spec(spec: dict) -> dict:
             "worker has no checkpoint_dir; nothing to restore from"
         )
     return hub_spec(
-        {
-            "restore_from": source,
-            "wal_sync": config.get("wal_sync", False),
-            "dispatch_mode": config.get("dispatch_mode", "lockstep"),
-        }
+        {"restore_from": source, "wal_sync": config.get("wal_sync", False)}
     )
 
 
@@ -91,22 +92,14 @@ def restore_spec(spec: dict) -> dict:
 def _build_hub(config: dict):
     from ..service import TrackingService  # deferred: service layer
 
-    # Not a TrackingService parameter: the facade driving this hub
-    # stamps its negotiated dispatch mode (lockstep/relaxed/windowed)
-    # into the spec so hub_stats can report it from any placement —
-    # including a `repro hub` actor on another machine.
-    dispatch_mode = config.pop("dispatch_mode", "lockstep")
     if config.get("restore_from"):
-        service = TrackingService.restore(
+        return TrackingService.restore(
             config["restore_from"],
             wal_sync=config.get("wal_sync", False),
         )
-    else:
-        service = TrackingService(
-            **{k: v for k, v in config.items() if k != "restore_from"}
-        )
-    service.dispatch_mode = dispatch_mode
-    return service
+    return TrackingService(
+        **{k: v for k, v in config.items() if k != "restore_from"}
+    )
 
 
 def _hub_register(service, name, scheme, seed, budget):
@@ -131,15 +124,6 @@ def _hub_query(service, name, method, args, kwargs):
     job = service.job(name)
     fn = resolve_query(job.coordinator, method)
     return fn.__name__, fn(*args, **kwargs)
-
-
-def _hub_status(service):
-    return service.status()
-
-
-def _hub_metrics_sample(service):
-    """Flat telemetry sample (no query evaluation; scrape-safe)."""
-    return service.metrics_sample()
 
 
 def _hub_space_overages(service):
@@ -181,59 +165,28 @@ def _hub_collect_spans(service):
 
 
 def hub_stats(service) -> dict:
-    """Capacity + liveness sample for the fleet telemetry plane.
+    """The hub's one self-report.
 
-    Modeled on ``collect_spans``: one cheap command every placement of
-    the hub kind answers identically — in-process, subprocess, or a
-    ``repro hub`` actor on another machine — so the gateway's
-    :class:`~repro.obs.fleet.FleetMonitor` can heartbeat the whole
-    fleet through the exec plane it already holds.  Returns per-job
-    space used vs. budget (refreshed with a sweep, like
-    ``metrics_sample``), aggregate capacity with an overcommit-style
-    ``used/budget`` ratio, process footprint (RSS/fds/uptime via
-    :func:`~repro.obs.process.process_stats`), and a monotonic
-    heartbeat sequence — a restart shows up as the sequence going
-    backwards.
+    :meth:`~repro.service.TrackingService.metrics_sample` (element,
+    engine, WAL and communication counters; per job its elements,
+    ``comm``, ``dropped_uplink_messages``, swept ``space`` high-water
+    marks and ``budget``) plus ``heartbeat``, the number of reports
+    this hub has served — a restart shows up as the sequence going
+    backwards — and ``process``, the hub process's footprint
+    (RSS/fds/uptime via :func:`~repro.obs.process.process_stats`).
+    Like ``collect_spans`` it answers identically from every placement
+    of the hub kind — in-process, subprocess, or a ``repro hub`` actor
+    on another machine.  No query runs: a scrape or a heartbeat must
+    never evaluate an estimator.
     """
     from ..obs.process import process_stats  # deferred: keep import light
 
     seq = getattr(service, "_hub_heartbeat_seq", 0) + 1
     service._hub_heartbeat_seq = seq
-    jobs = {}
-    used_total = 0
-    budget_total = 0
-    budgeted = False
-    for name, job in service.jobs.items():
-        job.sample_space()
-        used = job.space.max_site_words
-        budget = job.space_budget_words
-        jobs[name] = {
-            "elements": job.elements_processed,
-            "space_words": used,
-            "space_budget_words": budget,
-        }
-        used_total += used
-        if budget is not None:
-            budgeted = True
-            budget_total += budget
-    return {
-        "heartbeat": seq,
-        "dispatch_mode": service.dispatch_mode,
-        "elements": service.elements_processed,
-        "rounds": int(service.engine.stats.get("batches", 0)),
-        "site_calls": int(service.engine.stats.get("site_calls", 0)),
-        "jobs": jobs,
-        "capacity": {
-            "used_words": used_total,
-            "budget_words": budget_total if budgeted else None,
-            "ratio": (
-                used_total / budget_total
-                if budgeted and budget_total
-                else None
-            ),
-        },
-        "process": process_stats(),
-    }
+    report = service.metrics_sample()
+    report["heartbeat"] = seq
+    report["process"] = process_stats()
+    return report
 
 
 def _make_multi(table):
@@ -268,8 +221,6 @@ HUB_COMMANDS = {
     "unregister": _hub_unregister,
     "ingest": _hub_ingest,
     "query": _hub_query,
-    "status": _hub_status,
-    "metrics_sample": _hub_metrics_sample,
     "space_overages": _hub_space_overages,
     "job_manifest": _hub_job_manifest,
     "checkpoint": _hub_checkpoint,

@@ -372,22 +372,19 @@ class SiteProxy:
     ``on_message`` is invoked by the real ``Network`` at the exact
     cascade position the simulator would use; it performs a synchronous
     deliver-RPC to the remote site, so the distributed execution is the
-    same depth-first walk.  ``space_words`` reports the last value the
-    real site attached to a ``run_done``.
+    same depth-first walk.  Site space is not asked of a proxy: the
+    hub books the value each ``run_done`` carries straight into its
+    ``space`` ledger.
     """
 
-    __slots__ = ("site_id", "hub", "last_space")
+    __slots__ = ("site_id", "hub")
 
     def __init__(self, site_id: int, hub: "CoordinatorHub"):
         self.site_id = site_id
         self.hub = hub
-        self.last_space = 0
 
     def on_message(self, message) -> None:
         self.hub._deliver_sync(self.site_id, message)
-
-    def space_words(self) -> int:
-        return self.last_space
 
 
 class CoordinatorHub(ProtocolStack):
@@ -578,8 +575,10 @@ class CoordinatorHub(ProtocolStack):
 
         In lockstep only the engaged site may speak (anything else is a
         protocol violation — except a connection EOF, which just marks
-        the sender dead).  In relaxed mode, frames from *other* sites
-        are leftovers of the overlap (see :meth:`_service_out_of_band`).
+        the sender dead).  In relaxed mode every ``uplink`` and
+        ``run_done`` is a leftover of the overlap, the engaged site's
+        included — relaxed callers only ever wait for control replies —
+        so they go to :meth:`_service_out_of_band`.
         """
         deadline = time.monotonic() + DEFAULT_RPC_TIMEOUT
         while True:
@@ -607,19 +606,22 @@ class CoordinatorHub(ProtocolStack):
                 raise RemoteActorError(
                     f"site {sender}: {message.get('error')}"
                 )
-            if sender == site_id:
+            if sender == site_id and not (
+                self.relaxed and message.get("t") in ("uplink", "run_done")
+            ):
                 return message
             self._service_out_of_band(sender, message, site_id)
 
     def _service_out_of_band(self, sender: int, message: dict,
                              engaged: int) -> None:
-        """A frame from a site we are not currently waiting on.
+        """A frame that does not answer what we are waiting on.
 
         Relaxed mode only, where the frames of a failed batch can still
         be in flight while a close or snapshot engages one site at a
-        time: ``run_done`` completes a posted run immediately (a stale
-        epoch drops it); an ``uplink`` is deferred and runs, in arrival
-        order, at the next collection (see :meth:`_collect_outstanding`).
+        time — the engaged site's own included: ``run_done`` completes
+        a posted run immediately (a stale epoch drops it); an
+        ``uplink`` is deferred and runs, in arrival order, at the next
+        collection (see :meth:`_collect_outstanding`).
         """
         kind = message.get("t")
         if self.relaxed:
@@ -702,7 +704,6 @@ class CoordinatorHub(ProtocolStack):
             if kind == "uplink":
                 self._uplink_sync(site_id, message)
             elif kind == "run_done":
-                self.sites[site_id].last_space = message["space"]
                 self.space.record_site(site_id, message["space"])
                 return message["n"]
             else:
@@ -743,7 +744,6 @@ class CoordinatorHub(ProtocolStack):
         if self.ledger.pending(site_id):
             self.ledger.complete(site_id)
         self._collected_n += message["n"]
-        self.sites[site_id].last_space = message["space"]
         self.space.record_site(site_id, message["space"])
 
     def _service_one(self) -> None:

@@ -32,10 +32,12 @@ episode, never a stream.  A hub that answers but slower than
 ``stale_after`` is stale: ``degraded``, not ``down``.
 
 The obs package stays dependency-free, so the monitor never imports
-the exec plane.  Callers hand it :class:`FleetTarget`\\ s — a name plus
-a zero-argument ``poll`` callable (the gateway wires each one to
+the exec plane.  Callers hand it :class:`FleetTarget`\\ s — a name, the
+dispatch mode the hub is driven in, and a zero-argument ``poll``
+callable (the sharded facade wires each one to
 ``backend.dispatch_run("hub_stats")`` under the ingest lock, so polls
-never interleave with dispatch on the FIFO command pipes).
+never interleave with dispatch on the FIFO command pipes, and reads
+the fleet record out of the hub's self-report).
 
 Locking: the monitor's own lock guards state and is *never* held while
 a poll callable runs — poll callables take the ingest lock, and the
@@ -55,7 +57,9 @@ from collections import deque
 from .metrics import LATENCY_BUCKETS, Histogram
 from .tracing import SpanRecorder, new_trace_id, trace_scope
 
-__all__ = ["FleetMonitor", "FleetTarget", "FLEET_RULE_METRICS"]
+__all__ = [
+    "FleetMonitor", "FleetTarget", "FLEET_RULE_METRICS", "space_capacity",
+]
 
 #: quantities a ``fleet``-kind alert rule may reference
 FLEET_RULE_METRICS = (
@@ -74,16 +78,34 @@ _STATE_CODE = {"down": 0.0, "degraded": 1.0, "up": 2.0, "unknown": -1.0}
 _EVENTS_RING = 256
 
 
+def space_capacity(used_words: Iterable[int],
+                   budget_words: Iterable[Optional[int]]) -> dict:
+    """Space used vs. budget in the overcommit style: the totals of the
+    given words, budgets that are None left out; ``ratio`` is
+    used/budget, None while no budget is set."""
+    used = sum(used_words)
+    budgets = [budget for budget in budget_words if budget is not None]
+    budget = sum(budgets)
+    return {
+        "used_words": used,
+        "budget_words": budget if budgets else None,
+        "ratio": used / budget if budget else None,
+    }
+
+
 class FleetTarget:
     """One pollable hub: a name, an address label, and a poll callable.
 
-    ``poll()`` must return the ``hub_stats`` dict (or raise on a dead /
-    unreachable hub).  ``pending`` optionally reports the hub's
-    uncollected-command depth (the gateway wires it to the backend's
-    ``pending`` property).
+    ``poll()`` must return the hub's fleet record — ``heartbeat``,
+    ``elements``, ``rounds``, ``site_calls``, per-job ``jobs``,
+    ``capacity`` (see :func:`space_capacity`) and ``process`` — or
+    raise on a dead / unreachable hub.  ``pending`` optionally reports
+    the hub's uncollected-command depth (the facade wires it to the
+    backend's ``pending`` property); ``dispatch_mode`` is how the hub's
+    driver posts to it (``lockstep``/``relaxed``/``windowed``).
     """
 
-    __slots__ = ("name", "address", "poll", "pending")
+    __slots__ = ("name", "address", "poll", "pending", "dispatch_mode")
 
     def __init__(
         self,
@@ -91,11 +113,13 @@ class FleetTarget:
         poll: Callable[[], dict],
         address: Optional[str] = None,
         pending: Optional[Callable[[], int]] = None,
+        dispatch_mode: str = "lockstep",
     ) -> None:
         self.name = str(name)
         self.address = address
         self.poll = poll
         self.pending = pending
+        self.dispatch_mode = dispatch_mode
 
 
 class _HubState:
@@ -121,7 +145,7 @@ class _HubState:
         self.failures = 0
         self.rtt = Histogram(LATENCY_BUCKETS)
         self.last_rtt_s = None
-        self.stats = None         # last hub_stats payload
+        self.stats = None         # last fleet record polled
         self.last_error = None
         self.last_trace_id = None
 
@@ -311,16 +335,9 @@ class FleetMonitor:
             rounds = self._rounds
             events_total = sum(self._event_counts.values())
         states = {name: 0 for name in STATES}
-        used_total = 0
-        budget_total = 0
-        budgeted = False
         for view in hubs:
             states[view["state"]] += 1
-            capacity = view.get("capacity") or {}
-            used_total += capacity.get("used_words") or 0
-            if capacity.get("budget_words") is not None:
-                budgeted = True
-                budget_total += capacity["budget_words"]
+        hub_capacities = [view["capacity"] or {} for view in hubs]
         return {
             "interval_s": self.interval,
             "stale_after_s": self.stale_after,
@@ -329,15 +346,10 @@ class FleetMonitor:
             "rounds": rounds,
             "hubs": hubs,
             "states": states,
-            "capacity": {
-                "used_words": used_total,
-                "budget_words": budget_total if budgeted else None,
-                "ratio": (
-                    used_total / budget_total
-                    if budgeted and budget_total
-                    else None
-                ),
-            },
+            "capacity": space_capacity(
+                [c.get("used_words") or 0 for c in hub_capacities],
+                [c.get("budget_words") for c in hub_capacities],
+            ),
             "events_total": events_total,
         }
 
@@ -375,7 +387,7 @@ class FleetMonitor:
             "polls": hub.polls,
             "failures": hub.failures,
             "pending": pending,
-            "dispatch_mode": stats.get("dispatch_mode", "lockstep"),
+            "dispatch_mode": hub.target.dispatch_mode,
             "elements": stats.get("elements"),
             "rounds": stats.get("rounds"),
             "site_calls": stats.get("site_calls"),

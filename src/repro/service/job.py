@@ -135,10 +135,6 @@ class TrackingJob(ProtocolStack):
             ) from None
         return fn(*args, **kwargs)
 
-    def _default_estimate(self):
-        fn = find_default_query(self.coordinator)
-        return fn() if fn is not None else None
-
     # -- persistence -------------------------------------------------------
 
     def state_dict(self) -> dict:
@@ -185,35 +181,6 @@ class TrackingJob(ProtocolStack):
                 )
         self.sites = decoder.merge(self.sites, state["sites"])
         self.space = decoder.merge(self.space, state["space"])
-
-    # -- snapshot ----------------------------------------------------------
-
-    def status(self) -> dict:
-        """Pods-style snapshot: identity, comm ledger, space total/used/available.
-
-        ``space.total`` is the optional per-job budget (words);
-        ``available`` is ``total - used.max_site_words`` when a budget is
-        set, mirroring the MAAS pods handler's resource triple.
-        """
-        self.sample_space()
-        used_words = self.space.max_site_words
-        budget = self.space_budget_words
-        return {
-            "name": self.name,
-            "scheme": self.scheme.name,
-            "elements": self.elements_processed,
-            "comm": self.comm.as_metrics(),
-            "dropped_uplink_messages": self.network.dropped_uplink_messages,
-            "space": {
-                "total": budget,
-                "used": self.space.as_metrics(),
-                "available": None if budget is None else budget - used_words,
-            },
-            "accuracy": {
-                "epsilon": getattr(self.scheme, "epsilon", None),
-                "estimate": self._default_estimate(),
-            },
-        }
 
     def __repr__(self) -> str:
         return (

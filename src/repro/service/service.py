@@ -14,7 +14,7 @@ Typical use::
     service.register("p99-latency", RandomizedRankScheme(epsilon=0.01))
     service.ingest(site_ids, items)          # numpy arrays or sequences
     service.query("p99-latency", "quantile", 0.99)
-    service.status()                         # per-job + fleet snapshot
+    service.metrics_sample()                 # per-job + fleet ledgers
 """
 
 from __future__ import annotations
@@ -157,8 +157,10 @@ class TrackingService:
     space_sample_interval:
         Elements between full space sweeps during batched ingestion.
     space_budget_words:
-        Default per-job site-space budget reported by :meth:`status`
-        (pods-style ``total``/``used``/``available``); None disables.
+        Default per-job site-space budget, checked by
+        :meth:`space_overages` and reported as each job's ``budget`` by
+        :meth:`metrics_sample` (the facade's ``status()`` turns it into
+        the pods-style ``total``/``used``/``available``); None disables.
     checkpoint_dir:
         Enable durability: every ingested batch and job (un)registration
         is written ahead to a segmented WAL under this directory, and
@@ -343,30 +345,15 @@ class TrackingService:
         """Run a coordinator query on one job (see :meth:`TrackingJob.query`)."""
         return self.job(name).query(method, *args, **kwargs)
 
-    def status(self) -> dict:
-        """Fleet snapshot: per-job ledgers plus service-wide aggregates.
-
-        Shaped after the pods handler's resource triples: each job's
-        ``space`` reports ``total``/``used``/``available``, and the
-        service level aggregates the mirrored communication ledger.
-        """
-        return {
-            "sites": self.num_sites,
-            "one_way": self.one_way,
-            "uplink_drop_rate": self.uplink_drop_rate,
-            "elements": self.elements_processed,
-            "comm": self.comm.snapshot(),
-            "jobs": {name: job.status() for name, job in self._jobs.items()},
-        }
-
     def metrics_sample(self) -> dict:
-        """One flat, JSON-safe telemetry sample for the metrics plane.
+        """One flat, JSON-safe sample of the service's ledgers.
 
-        Cheaper and flatter than :meth:`status` (no query evaluation —
-        a scrape must never run estimators), but it does refresh each
-        job's space high-water marks so per-shard used/available words
-        are current.  The shard facade fans this out per hub and merges
-        the replies for :func:`register_service_metrics`.
+        No query evaluation — a scrape must never run estimators — but
+        each job's space high-water marks are refreshed with a sweep, so
+        used/available words are current.  This is the body of the hub
+        self-report (:func:`repro.exec.workers.hub_stats`) that the
+        shard facade fans out and merges for its ``status()``, its
+        ``metrics_sample()`` and the fleet monitor.
         """
         jobs = {}
         for name, job in self._jobs.items():
@@ -374,6 +361,9 @@ class TrackingService:
             jobs[name] = {
                 "elements": job.elements_processed,
                 "comm": job.comm.as_metrics(),
+                "dropped_uplink_messages": (
+                    job.network.dropped_uplink_messages
+                ),
                 "space": job.space.as_metrics(),
                 "budget": job.space_budget_words,
             }

@@ -51,7 +51,7 @@ import numpy as _np
 from ..exec import EXECUTORS, make_group
 from ..exec.dispatch import CreditWindow
 from ..exec.workers import hub_spec
-from ..obs.fleet import FleetTarget
+from ..obs.fleet import FleetTarget, space_capacity
 from ..obs.metrics import DEFAULT_BUCKETS, SIZE_BUCKETS, Histogram
 from ..obs.tracing import SpanRecorder
 from ..persistence.snapshot import latest_snapshot, list_snapshots
@@ -228,7 +228,6 @@ class ShardedTrackingService:
                     "space_budget_words": space_budget_words,
                 }
             config["wal_sync"] = wal_sync
-            config["dispatch_mode"] = ledger.mode
             if checkpoint_dir is not None and _restore is None:
                 config["checkpoint_dir"] = self._shard_dir(
                     checkpoint_dir, shard
@@ -580,25 +579,55 @@ class ShardedTrackingService:
 
     # -- status ------------------------------------------------------------
 
+    def _hub_reports(self) -> list:
+        """Every hub's ``hub_stats`` self-report, in shard order: one
+        fan-out, which fences outstanding relaxed batches first."""
+        return self._group.map("hub_stats", [()] * self.num_shards)
+
+    def _merged_jobs(self, reports: list) -> dict:
+        """Per-job ledgers merged across hub reports: ``comm`` and
+        dropped uplinks sum; site ``space`` takes the worst shard's max
+        and the mean of means, coordinator words sum.  ``shard_space``
+        keeps each hub's own marks, in shard order."""
+        merged: dict = {}
+        for name in self._jobs:
+            per_shard = [report["jobs"][name] for report in reports]
+            spaces = [job["space"] for job in per_shard]
+            merged[name] = {
+                "comm": _sum_dicts([job["comm"] for job in per_shard]),
+                "dropped_uplink_messages": sum(
+                    job["dropped_uplink_messages"] for job in per_shard
+                ),
+                "space": {
+                    "max_site_words": max(
+                        space["max_site_words"] for space in spaces
+                    ),
+                    "mean_site_words": sum(
+                        space["mean_site_words"] for space in spaces
+                    ) / len(spaces),
+                    "coordinator_words": sum(
+                        space["coordinator_words"] for space in spaces
+                    ),
+                },
+                "shard_space": spaces,
+            }
+        return merged
+
     def status(self) -> dict:
-        """Fleet snapshot: merged per-job ledgers + per-shard detail."""
-        shard_statuses = self._group.map("status", [()] * self.num_shards)
+        """Fleet snapshot: merged per-job ledgers + per-shard detail.
+
+        Each job's ``space`` is the pods-style resource triple: the
+        budget as ``total``, the merged marks as ``used``, and
+        ``available = total - used.max_site_words`` when a budget is
+        set.  ``accuracy.estimate`` is the job's merged default query
+        (None for a job without a mergeable one).
+        """
+        reports = self._hub_reports()
+        merged = self._merged_jobs(reports)
         jobs: dict = {}
         for view in self._jobs.values():
-            per_shard = [s["jobs"][view.name] for s in shard_statuses]
-            comm = _sum_dicts([j["comm"] for j in per_shard])
-            used = {
-                "max_site_words": max(
-                    j["space"]["used"]["max_site_words"] for j in per_shard
-                ),
-                "mean_site_words": sum(
-                    j["space"]["used"]["mean_site_words"] for j in per_shard
-                ) / len(per_shard),
-                "coordinator_words": sum(
-                    j["space"]["used"]["coordinator_words"]
-                    for j in per_shard
-                ),
-            }
+            job = merged[view.name]
+            used = job["space"]
             budget = view.space_budget_words
             estimate = None
             try:
@@ -609,10 +638,8 @@ class ShardedTrackingService:
                 "name": view.name,
                 "scheme": view.scheme.name,
                 "elements": view.elements_processed,
-                "comm": comm,
-                "dropped_uplink_messages": sum(
-                    j["dropped_uplink_messages"] for j in per_shard
-                ),
+                "comm": job["comm"],
+                "dropped_uplink_messages": job["dropped_uplink_messages"],
                 "space": {
                     "total": budget,
                     "used": used,
@@ -637,16 +664,16 @@ class ShardedTrackingService:
             "one_way": self.one_way,
             "uplink_drop_rate": self.uplink_drop_rate,
             "elements": self.elements_processed,
-            "comm": _sum_dicts([s["comm"] for s in shard_statuses]),
+            "comm": _sum_dicts([report["comm"] for report in reports]),
             "jobs": jobs,
             "shard_detail": [
                 {
                     "shard": shard,
                     "sites": self.router.shard_size(shard),
-                    "elements": status["elements"],
-                    "comm": status["comm"],
+                    "elements": report["elements"],
+                    "comm": report["comm"],
                 }
-                for shard, status in enumerate(shard_statuses)
+                for shard, report in enumerate(reports)
             ],
         }
 
@@ -681,50 +708,39 @@ class ShardedTrackingService:
     def metrics_sample(self) -> dict:
         """Fleet telemetry: merged totals plus per-shard detail.
 
-        Fans the cheap hub-side ``metrics_sample`` command out (no
-        query evaluation anywhere), so the gateway's scrape path sees
-        remote hubs' engine/WAL/space numbers.  Like every collecting
-        command this fences outstanding relaxed batches first.
+        Reads the same hub self-reports as :meth:`status` (no query
+        evaluation anywhere), so the gateway's scrape path sees remote
+        hubs' engine/WAL/space numbers.
         """
-        samples = self._group.map("metrics_sample", [()] * self.num_shards)
+        reports = self._hub_reports()
+        merged = self._merged_jobs(reports)
         jobs: dict = {}
         for view in self._jobs.values():
-            per_shard = [s["jobs"][view.name] for s in samples]
-            space = {
-                "max_site_words": max(
-                    j["space"]["max_site_words"] for j in per_shard
-                ),
-                "mean_site_words": sum(
-                    j["space"]["mean_site_words"] for j in per_shard
-                ) / len(per_shard),
-                "coordinator_words": sum(
-                    j["space"]["coordinator_words"] for j in per_shard
-                ),
-            }
+            job = merged[view.name]
             jobs[view.name] = {
                 "elements": view.elements_processed,
-                "comm": _sum_dicts([j["comm"] for j in per_shard]),
-                "space": space,
+                "comm": job["comm"],
+                "space": job["space"],
                 "budget": view.space_budget_words,
                 "shards": [
-                    {"shard": shard, "space": j["space"]}
-                    for shard, j in enumerate(per_shard)
+                    {"shard": shard, "space": space}
+                    for shard, space in enumerate(job["shard_space"])
                 ],
             }
         return {
             "elements": self.elements_processed,
-            "engine": _sum_dicts([s["engine"] for s in samples]),
-            "comm": _sum_dicts([s["comm"] for s in samples]),
-            "wal_bytes": sum(s["wal_bytes"] for s in samples),
-            "wal_records": sum(s["wal_records"] for s in samples),
+            "engine": _sum_dicts([report["engine"] for report in reports]),
+            "comm": _sum_dicts([report["comm"] for report in reports]),
+            "wal_bytes": sum(report["wal_bytes"] for report in reports),
+            "wal_records": sum(report["wal_records"] for report in reports),
             "jobs": jobs,
             "shards": [
                 {
                     "shard": shard,
-                    "elements": s["elements"],
-                    "wal_bytes": s["wal_bytes"],
+                    "elements": report["elements"],
+                    "wal_bytes": report["wal_bytes"],
                 }
-                for shard, s in enumerate(samples)
+                for shard, report in enumerate(reports)
             ],
         }
 
@@ -787,18 +803,22 @@ class ShardedTrackingService:
         Each poll posts ``hub_stats`` down the hub's command pipe under
         ``lock`` (the frontend's ingest lock) — the pipes are FIFO and
         not safe against interleaved dispatch, so polls queue behind
-        ingest rounds exactly like scrapes and status reads do.
+        ingest rounds exactly like scrapes and status reads do — and
+        reads the fleet record out of that report.  The dispatch mode
+        is this facade's: hubs do not know how they are posted to.
         """
         def target(shard, backend):
             def poll() -> dict:
                 with lock:
-                    return backend.dispatch_run("hub_stats")
+                    report = backend.dispatch_run("hub_stats")
+                return _fleet_record(report)
 
             return FleetTarget(
                 str(shard),
                 poll,
                 address=backend.address,
                 pending=lambda: backend.pending,
+                dispatch_mode=self.dispatch_mode,
             )
 
         return [
@@ -984,6 +1004,31 @@ def _run_count(site_ids) -> int:
     if len(site_ids) == 0:
         return 0
     return int(_np.count_nonzero(site_ids[1:] != site_ids[:-1])) + 1
+
+
+def _fleet_record(report: dict) -> dict:
+    """The fleet monitor's view of one hub self-report: counters,
+    per-job space used vs. budget, and the hub's capacity totals."""
+    jobs = {
+        name: {
+            "elements": job["elements"],
+            "space_words": job["space"]["max_site_words"],
+            "space_budget_words": job["budget"],
+        }
+        for name, job in report["jobs"].items()
+    }
+    return {
+        "heartbeat": report["heartbeat"],
+        "elements": report["elements"],
+        "rounds": report["engine"]["batches"],
+        "site_calls": report["engine"]["site_calls"],
+        "jobs": jobs,
+        "capacity": space_capacity(
+            [job["space_words"] for job in jobs.values()],
+            [job["space_budget_words"] for job in jobs.values()],
+        ),
+        "process": report["process"],
+    }
 
 
 def _sum_dicts(dicts: list) -> dict:

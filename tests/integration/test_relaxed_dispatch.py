@@ -28,7 +28,7 @@ from repro import (
     WindowedCountScheme,
 )
 from repro.lowerbounds import OneWayThresholdScheme
-from repro.net import Cluster
+from repro.net import Cluster, RemoteActorError
 from repro.runtime import Simulation, batch_from_stream
 from repro.service.job import resolve_query
 from repro.service.jobspec import SCHEMES
@@ -123,6 +123,27 @@ class TestRelaxedCluster:
                     cluster.query(), cluster.comm.total_messages
                 )
         assert answers["loopback"] == answers["tcp"]
+
+    def test_checkpoint_after_a_failed_batch(self, tmp_path):
+        # The failed batch leaves uplinks in flight, the first site's
+        # included, while the snapshot engages one site at a time.
+        directory = str(tmp_path / "cluster")
+        ids = [i % 4 for i in range(4000)]
+        with Cluster(
+            WindowedCountScheme(100_000, 0.05), 4, seed=SEED, relaxed=True,
+            checkpoint_dir=directory, record_transcript=False,
+        ) as cluster:
+            cluster.ingest(ids, [float(i) for i in range(4000)])
+            hostile = [
+                None if site == 3 else float(4000 + i)
+                for i, site in enumerate(ids)
+            ]
+            with pytest.raises(RemoteActorError):
+                cluster.ingest(ids, hostile)
+            cluster.checkpoint()
+            answer = cluster.query()
+        with Cluster.restore(directory) as restored:
+            assert restored.query() == answer
 
     def test_multiple_relaxed_batches_accumulate(self, stream):
         site_ids, items = stream

@@ -13,7 +13,9 @@ The contract of :mod:`repro.shard`:
   sum to ``eps * n``, independent variances compose — see
   :func:`repro.shard.merge.composed_error_bound`);
 * executors are interchangeable: inline, thread and process backends
-  produce identical answers for identical seeds.
+  produce identical answers for identical seeds, and hubs placed on
+  ``repro hub`` TCP hosts match inline hubs for every scheme the
+  site-actor plane covers.
 """
 
 import bisect
@@ -26,7 +28,9 @@ from repro import (
     Cormode05RankScheme,
     DeterministicCountScheme,
     DeterministicFrequencyScheme,
+    DeterministicRankScheme,
     DistributedSamplingScheme,
+    MedianBoostedScheme,
     RandomizedCountScheme,
     RandomizedFrequencyScheme,
     RandomizedRankScheme,
@@ -34,6 +38,8 @@ from repro import (
     TrackingService,
     WindowedCountScheme,
 )
+from repro.exec.remote import ExecHost, LoopThread
+from repro.net.transport import TcpTransport
 from repro.shard import UnmergeableQueryError, composed_error_bound
 from repro.workloads import uniform_sites, with_items, zipf_items
 
@@ -225,6 +231,122 @@ class TestExecutorEquivalence:
             other.close()
 
 
+#: every scheme the site-actor plane's equivalence suite covers, with
+#: the queries to compare: merged where a merge rule exists, per shard
+#: (``query_shard``) for the boosted job, whose median does not merge
+HUB_PLANE_CASES = [
+    pytest.param(
+        lambda: RandomizedCountScheme(0.05), [(None,), ("estimate",)], [],
+        id="count-randomized",
+    ),
+    pytest.param(
+        lambda: DeterministicCountScheme(0.05), [("estimate",)], [],
+        id="count-deterministic",
+    ),
+    pytest.param(
+        lambda: RandomizedFrequencyScheme(0.1),
+        [("top_items", 3), ("estimate_frequency", 1),
+         ("heavy_hitters", 0.05)], [],
+        id="frequency-randomized",
+    ),
+    pytest.param(
+        lambda: DeterministicFrequencyScheme(0.1),
+        [("top_items", 3), ("estimate_frequency", 1),
+         ("heavy_hitters", 0.05)], [],
+        id="frequency-deterministic",
+    ),
+    pytest.param(
+        lambda: RandomizedRankScheme(0.15),
+        [("estimate_rank", 10), ("estimate_total",), ("quantile", 0.5)], [],
+        id="rank-randomized",
+    ),
+    pytest.param(
+        lambda: DeterministicRankScheme(0.15),
+        [("estimate_rank", 10), ("quantile", 0.5)], [],
+        id="rank-deterministic",
+    ),
+    pytest.param(
+        lambda: Cormode05RankScheme(0.15),
+        [("estimate_rank", 10), ("quantile", 0.9)], [],
+        id="rank-cormode05",
+    ),
+    pytest.param(
+        lambda: DistributedSamplingScheme(0.2),
+        [("estimate",), ("estimate_rank", 10), ("quantile", 0.5),
+         ("heavy_hitters", 0.2)], [],
+        id="sampling-level",
+    ),
+    pytest.param(
+        lambda: MedianBoostedScheme(RandomizedCountScheme(0.1), 3),
+        [], [("estimate",)],
+        id="count-boosted-median3",
+    ),
+    pytest.param(
+        lambda: WindowedCountScheme(2_000, 0.2),
+        [(None,), ("estimate", float(N - 1))], [],
+        id="window-count",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def hub_hosts():
+    loop = LoopThread()
+    hosts = [
+        loop.call(ExecHost(TcpTransport(), "127.0.0.1:0").start())
+        for _ in range(2)
+    ]
+    yield [host.address for host in hosts]
+    for host in hosts:
+        loop.call(host.close())
+    loop.close()
+
+
+class TestClusterHubEquivalence:
+    """Two hubs on TCP hosts == two inline hubs, for every scheme."""
+
+    @pytest.mark.parametrize(
+        "make_scheme, queries, shard_queries", HUB_PLANE_CASES
+    )
+    def test_cluster_hubs_match_inline_hubs(
+        self, stream, hub_hosts, make_scheme, queries, shard_queries
+    ):
+        site_ids, items = stream
+        scheme = make_scheme()
+        if scheme.name.startswith("window/"):
+            items = [float(i) for i in range(N)]  # arrival timestamps
+        observed = []
+        for placement in (
+            {"executor": "inline"},
+            {"executor": "cluster", "hub_addresses": hub_hosts},
+        ):
+            service = ShardedTrackingService(
+                num_sites=K, num_shards=2, seed=SEED, **placement
+            )
+            try:
+                service.register("job", scheme)
+                service.ingest(site_ids, items)
+                observed.append(
+                    {
+                        "comm": service.status()["jobs"]["job"]["comm"],
+                        "answers": [
+                            service.query("job", *query)
+                            for query in queries
+                        ],
+                        "per_shard": [
+                            service.query_shard(shard, "job", *query)
+                            for query in shard_queries
+                            for shard in range(2)
+                        ],
+                    }
+                )
+            finally:
+                service.close()
+        inline, cluster = observed
+        assert inline["comm"]["total_messages"] > 0
+        assert cluster == inline
+
+
 class TestEdgeCases:
     def test_empty_shards_merge_cleanly(self):
         # 8 sites over 8 shards, but only two sites ever receive events:
@@ -269,7 +391,7 @@ class TestSingleServiceCheckpointResume:
 
     @staticmethod
     def observed(service):
-        status = service.status()
+        sample = service.metrics_sample()
         return {
             "count": service.query("count"),
             "quantiles": [
@@ -277,9 +399,9 @@ class TestSingleServiceCheckpointResume:
                 for phi in TestSingleServiceCheckpointResume.GRID
             ],
             "hitters": service.query("freq", "heavy_hitters", 0.01),
-            "comm": status["comm"],
+            "comm": sample["comm"],
             "job_comm": {
-                name: job["comm"] for name, job in status["jobs"].items()
+                name: job["comm"] for name, job in sample["jobs"].items()
             },
             "elements": service.elements_processed,
         }

@@ -8,15 +8,19 @@ identical error types, the submit/drain (relaxed) discipline, and the
 checkpoint/restore lifecycle.
 """
 
+import threading
+
 import pytest
 
 from repro import (
     DeterministicCountScheme,
     DeterministicFrequencyScheme,
     RandomizedCountScheme,
+    ShardedTrackingService,
 )
 from repro.exec import EXECUTORS, ExecError, make_backend
 from repro.exec.workers import hub_spec
+from repro.obs.fleet import FleetMonitor
 from repro.obs.tracing import trace_scope
 from repro.service.errors import DuplicateJobError, UnknownJobError
 
@@ -119,20 +123,33 @@ class TestHubConformance:
             assert after != before
 
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_restore_keeps_the_dispatch_mode(self, executor, tmp_path):
-        directory = str(tmp_path / f"hub-{executor}")
-        with hub_backend(
-            executor, checkpoint_dir=directory, dispatch_mode="relaxed"
-        ) as backend:
-            build_jobs(backend)
-            backend.dispatch_batch(STREAM, ITEMS)
-            assert backend.dispatch_run("hub_stats")["dispatch_mode"] == (
-                "relaxed"
-            )
-            backend.restore()
-            stats = backend.dispatch_run("hub_stats")
-            assert stats["dispatch_mode"] == "relaxed"
-            assert stats["elements"] == len(STREAM)
+    def test_restored_facade_reports_its_dispatch_mode(
+        self, executor, tmp_path
+    ):
+        directory = str(tmp_path / f"facade-{executor}")
+        writer = ShardedTrackingService(
+            K, num_shards=2, seed=SEED, executor=executor,
+            checkpoint_dir=directory,
+        )
+        writer.register("count", RandomizedCountScheme(0.05))
+        writer.ingest(STREAM, ITEMS)
+        writer.checkpoint()
+        writer.close()
+        restored = ShardedTrackingService.restore(
+            directory, executor=executor, relaxed=True, window=8,
+            per_site_depth=2,
+        )
+        try:
+            targets = restored.fleet_targets(threading.Lock())
+            monitor = FleetMonitor(targets)
+            monitor.poll_round()
+            hubs = monitor.snapshot()["hubs"]
+            assert [hub["dispatch_mode"] for hub in hubs] == [
+                "windowed", "windowed"
+            ]
+            assert sum(hub["elements"] for hub in hubs) == len(STREAM)
+        finally:
+            restored.close()
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_restore_without_durable_source_raises(self, executor):

@@ -7,8 +7,11 @@ across in-process and subprocess placements (the cluster placement is
 covered by the remote-hub integration suite).
 """
 
+import threading
+
 import pytest
 
+from repro import RandomizedCountScheme, ShardedTrackingService
 from repro.exec import make_backend
 from repro.exec.workers import hub_spec
 from repro.obs import MetricsRegistry, render_prometheus
@@ -233,10 +236,37 @@ class TestHubStatsCommand:
             second = backend.dispatch_run("hub_stats")
             assert second["heartbeat"] == first["heartbeat"] + 1
             assert first["elements"] == 0
-            assert first["capacity"]["used_words"] == 0
-            assert first["capacity"]["budget_words"] is None
+            assert first["jobs"] == {}
+            assert first["engine"]["batches"] == 0
             process = first["process"]
             assert process["rss_bytes"] > 0 or executor == "inline"
             assert process["uptime_s"] >= 0.0
         finally:
             backend.close()
+
+    def test_fleet_record_reads_the_report(self):
+        service = ShardedTrackingService(
+            num_sites=4, num_shards=2, seed=7, space_budget_words=1000
+        )
+        try:
+            service.register("total", RandomizedCountScheme(0.1))
+            service.ingest([0, 1, 2, 3] * 25)
+            records = [
+                target.poll()
+                for target in service.fleet_targets(threading.Lock())
+            ]
+            for record in records:
+                job = record["jobs"]["total"]
+                used = job["space_words"]
+                assert used > 0
+                assert job["space_budget_words"] == 1000
+                assert record["capacity"] == {
+                    "used_words": used,
+                    "budget_words": 1000,
+                    "ratio": used / 1000,
+                }
+                assert record["rounds"] == 1
+                assert record["site_calls"] > 0
+            assert sum(r["elements"] for r in records) == 100
+        finally:
+            service.close()

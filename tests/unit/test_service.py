@@ -6,6 +6,7 @@ from repro import (
     DeterministicCountScheme,
     RandomizedCountScheme,
     RandomizedFrequencyScheme,
+    ShardedTrackingService,
     TrackingService,
 )
 from repro.runtime import Simulation, batch_from_stream, decompose_runs
@@ -22,6 +23,11 @@ np = pytest.importorskip("numpy")
 
 def make_service(k=8, **kwargs):
     return TrackingService(num_sites=k, seed=5, **kwargs)
+
+
+def make_facade(k=8, **kwargs):
+    """The 1-shard facade: what reports a job's status."""
+    return ShardedTrackingService(num_sites=k, seed=5, **kwargs)
 
 
 class TestRegistry:
@@ -159,7 +165,7 @@ class TestQueryApi:
             service.query("total", "_total")
 
     def test_status_shape(self):
-        service = make_service(k=4, space_budget_words=1000)
+        service = make_facade(k=4, space_budget_words=1000)
         service.register("total", RandomizedCountScheme(0.1))
         service.ingest([0, 1, 2, 3] * 25, None)
         status = service.status()
@@ -177,7 +183,7 @@ class TestQueryApi:
         assert job["accuracy"]["estimate"] is not None
 
     def test_status_without_budget(self):
-        service = make_service(k=4)
+        service = make_facade(k=4)
         service.register("total", RandomizedCountScheme(0.1))
         job = service.status()["jobs"]["total"]
         assert job["space"]["total"] is None
